@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint sast sast-oracle sast-contract sast-variants typecheck bench bench-smoke demo figures smoke farm-smoke verify clean
+.PHONY: install test lint sast sast-oracle sast-contract sast-variants typecheck bench bench-smoke demo figures smoke verify clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -53,7 +53,7 @@ sast-variants:
 # locally whenever the tool happens to be installed.
 typecheck:
 	@if command -v mypy >/dev/null 2>&1; then \
-		mypy --strict src/repro/utils src/repro/obs src/repro/sast src/repro/leakage src/repro/farm src/repro/countermeasures src/repro/sasca; \
+		mypy --strict src/repro/utils src/repro/obs src/repro/sast src/repro/leakage src/repro/countermeasures src/repro/sasca; \
 	else \
 		echo "mypy not installed; skipping typecheck (CI runs it)"; \
 	fi
@@ -90,14 +90,7 @@ SMOKE_TARGET ?= fpr-mul
 smoke:
 	$(PYTHON) scripts/e2e_smoke.py --backend $(SMOKE_BACKEND) --target $(SMOKE_TARGET)
 
-# Orchestration smoke (scripts/farm_smoke.py): a 2-worker farm drains
-# two mixed-target n=8 campaigns end-to-end, one canceled mid-flight
-# and resumed from its checkpoints, with every result checked
-# bit-identical to a direct full_attack run.
-farm-smoke:
-	$(PYTHON) scripts/farm_smoke.py
-
-verify: test lint sast typecheck smoke farm-smoke
+verify: test lint sast typecheck smoke
 
 demo:
 	$(PYTHON) examples/attack_demo.py --n 8 --traces 10000

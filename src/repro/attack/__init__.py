@@ -45,7 +45,6 @@ from repro.attack.pipeline import full_attack, FullAttackReport
 from repro.attack.template import build_templates, template_scores, HwTemplates
 from repro.attack.second_order import second_order_cpa, centered_product
 from repro.attack.alignment import align_traces, align_traceset
-from repro.attack.incremental import IncrementalCpa
 from repro.attack.ml_profiled import MlpClassifier, ml_profile_step, ml_scores
 from repro.attack.distinguisher import (
     DISTINGUISHERS,
@@ -88,7 +87,6 @@ __all__ = [
     "centered_product",
     "align_traces",
     "align_traceset",
-    "IncrementalCpa",
     "MlpClassifier",
     "ml_profile_step",
     "ml_scores",

@@ -8,7 +8,7 @@ its correlation crosses the 99.99% Fisher-z confidence bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,10 +27,20 @@ def significance_threshold(n_traces: int, confidence: float = 0.9999) -> float:
 class CpaResult:
     """Correlation matrix plus ranking utilities for one CPA run."""
 
-    guesses: np.ndarray          # (G,) the guess values
-    corr: np.ndarray             # (G, T) correlation traces
+    guesses: np.ndarray = field(repr=False)   # (G,) the guess values
+    corr: np.ndarray = field(repr=False)      # (G, T) correlation traces
     n_traces: int
     signed: bool = False         # rank on signed corr (sign-bit attack) or |corr|
+
+    def __repr__(self) -> str:
+        # a summary: the correlation matrix can hold millions of floats
+        top = self.top(2)
+        best = top[0][0] if top else None
+        margin = top[0][1] - top[1][1] if len(top) == 2 else float("inf")
+        return (
+            f"CpaResult(corr.shape={self.corr.shape}, n_traces={self.n_traces}, "
+            f"signed={self.signed}, best_guess={best}, margin={margin:.4g})"
+        )
 
     @property
     def scores(self) -> np.ndarray:

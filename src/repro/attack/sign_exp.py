@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,9 +52,16 @@ class SignRecovery:
 @dataclass
 class ExponentRecovery:
     biased_exponent: int
-    results: list[CpaResult]
-    combined_scores: np.ndarray
-    guesses: np.ndarray
+    results: list[CpaResult] = field(repr=False)
+    combined_scores: np.ndarray = field(repr=False)
+    guesses: np.ndarray = field(repr=False)
+
+    def __repr__(self) -> str:
+        return (
+            f"ExponentRecovery(biased_exponent={self.biased_exponent}, "
+            f"guesses.shape={self.guesses.shape}, results={len(self.results)}, "
+            f"margin={self.margin:.4g})"
+        )
 
     def top_candidates(self, k: int) -> list[int]:
         """The k best exponent guesses, best first.

@@ -1,11 +1,8 @@
-"""Command-line interface: keygen, sign, verify, capture, attack, farm.
+"""Command-line interface: keygen, sign, verify, capture, attack.
 
 Installed as ``repro-falcon`` (see pyproject). The attack subcommands
 drive the simulated bench — the victim key doubles as the device under
-test, exactly like ``examples/attack_demo.py``. The ``farm`` subcommands
-are the control plane of the campaign orchestration service
-(:mod:`repro.farm`): submit/status/cancel/resume/watch against a farm
-directory, plus ``worker``/``run``/``serve`` to execute it.
+test, exactly like ``examples/attack_demo.py``.
 """
 
 from __future__ import annotations
@@ -207,154 +204,6 @@ def cmd_store_info(args) -> int:
     return 0
 
 
-# -- farm: campaign orchestration ------------------------------------------
-
-
-def _farm_spec(args):
-    from repro.attack.config import AttackConfig
-    from repro.farm.spec import CampaignSpec
-    from repro.leakage.capture import CaptureConfig
-
-    return CampaignSpec(
-        key_seed=args.key_seed,
-        n=args.n,
-        capture=CaptureConfig(
-            n_traces=args.traces,
-            seed=args.capture_seed,
-            backend=args.backend,
-            target=args.target,
-        ),
-        attack=AttackConfig(distinguisher=args.distinguisher),
-        noise_sigma=args.noise,
-        device_seed=args.device_seed,
-        use_store=not args.no_store,
-    )
-
-
-def cmd_farm_submit(args) -> int:
-    from repro.farm.queue import FarmQueue
-
-    job = FarmQueue(args.root).submit(_farm_spec(args))
-    print(f"submitted {job.job_id} (target={job.spec.target}, n={job.spec.n})")
-    return 0
-
-
-def cmd_farm_status(args) -> int:
-    import json
-
-    from repro.farm.control import format_status
-    from repro.farm.queue import FarmQueue
-
-    status = FarmQueue(args.root).status()
-    print(json.dumps(status, indent=1, sort_keys=True) if args.json
-          else format_status(status))
-    return 0
-
-
-def cmd_farm_cancel(args) -> int:
-    from repro.farm.queue import FarmQueue
-
-    job = FarmQueue(args.root).cancel(args.job)
-    print(f"cancel requested for {job.job_id} (state: {job.state.value})")
-    return 0
-
-
-def cmd_farm_resume(args) -> int:
-    from repro.farm.queue import FarmQueue
-
-    job = FarmQueue(args.root).resume(args.job)
-    print(f"{job.job_id} re-queued (attempt {job.attempts + 1} will resume "
-          "from its checkpoints)")
-    return 0
-
-
-def cmd_farm_watch(args) -> int:
-    import json
-
-    from repro.farm.control import tail_events, watch_events
-    from repro.farm.queue import FarmQueue
-
-    queue = FarmQueue(args.root)
-    path = str(queue.job_journal_path(args.job) if args.job else queue.journal_path)
-
-    def render(event: dict) -> None:
-        print(json.dumps(event, sort_keys=True), flush=True)
-
-    if not args.follow:
-        events, _ = tail_events(path)
-        for event in events:
-            render(event)
-        return 0
-    for event in watch_events(path):
-        render(event)
-    return 0
-
-
-def cmd_farm_worker(args) -> int:
-    from repro.farm.worker import worker_loop
-
-    finished = worker_loop(
-        args.root,
-        args.id,
-        lease_ttl=args.lease_ttl,
-        drain=args.drain,
-        job_workers=args.job_workers,
-    )
-    print(f"{args.id}: {finished} job(s) finished")
-    return 0
-
-
-def cmd_farm_run(args) -> int:
-    from repro.farm.control import format_status
-    from repro.farm.service import FarmLimits, FarmService
-
-    service = FarmService(
-        args.root,
-        limits=FarmLimits(
-            max_concurrent=args.max_concurrent,
-            max_store_bytes=args.max_store_bytes,
-            lease_ttl=args.lease_ttl,
-        ),
-        n_workers=args.workers,
-        job_workers=args.job_workers,
-    )
-    status = service.run_to_completion()
-    print(format_status(status))
-    counts = status["counts"]
-    return 0 if counts["failed"] == 0 and counts["pending"] == 0 else 1
-
-
-def cmd_farm_serve(args) -> int:
-    import asyncio
-
-    from repro.farm.control import serve_http
-    from repro.farm.service import FarmLimits, FarmService
-
-    service = FarmService(
-        args.root,
-        limits=FarmLimits(
-            max_concurrent=args.max_concurrent,
-            max_store_bytes=args.max_store_bytes,
-            lease_ttl=args.lease_ttl,
-        ),
-        n_workers=args.workers,
-        job_workers=args.job_workers,
-    )
-    server = serve_http(args.root, host=args.host, port=args.port,
-                        health_fn=service.health)
-    host, port = server.server_address[0], server.server_address[1]
-    print(f"farm {args.root}: HTTP on http://{host}:{port} "
-          f"({args.workers} workers)", file=sys.stderr, flush=True)
-    try:
-        asyncio.run(service.serve_forever())
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-        service.stop()
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     from repro.attack.config import KNOWN_DISTINGUISHERS
     from repro.leakage.backend import BACKENDS
@@ -513,96 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--store", type=str, required=True)
     p.set_defaults(fn=cmd_store_info)
 
-    farm = sub.add_parser(
-        "farm",
-        help="campaign orchestration: durable queue + worker pool + control plane",
-    )
-    fsub = farm.add_subparsers(dest="farm_command", required=True)
-
-    def _root(fp):
-        fp.add_argument("--root", type=str, required=True,
-                        help="farm directory (queue, leases, stores, journal)")
-
-    fp = fsub.add_parser("submit", help="enqueue one attack campaign")
-    _root(fp)
-    fp.add_argument("--key-seed", type=str, required=True,
-                    help="victim key seed (the worker regenerates the key pair)")
-    fp.add_argument("--n", type=int, default=8, choices=SUPPORTED_N)
-    fp.add_argument("--traces", type=int, default=10_000)
-    fp.add_argument("--capture-seed", type=int, default=2021)
-    fp.add_argument("--target", type=str, default=DEFAULT_TARGET,
-                    help=f"leakage surface (registered: {target_names}; "
-                    "or 'contract:<id>' for a traced contract entry)")
-    fp.add_argument("--backend", type=str, default="numpy-batch",
-                    help=f"capture engine (registered: {backend_names})")
-    fp.add_argument("--distinguisher", type=str, default="cpa",
-                    help=f"statistical engine (registered: {distinguisher_names})")
-    fp.add_argument("--noise", type=float, default=10.0)
-    fp.add_argument("--device-seed", type=int, default=2021)
-    fp.add_argument("--no-store", action="store_true",
-                    help="attack from a live capture instead of materializing "
-                    "a per-job campaign store")
-    fp.set_defaults(fn=cmd_farm_submit)
-
-    fp = fsub.add_parser("status", help="queue / lease / quota state")
-    _root(fp)
-    fp.add_argument("--json", action="store_true")
-    fp.set_defaults(fn=cmd_farm_status)
-
-    fp = fsub.add_parser("cancel", help="request cancellation of one job")
-    _root(fp)
-    fp.add_argument("job", type=str)
-    fp.set_defaults(fn=cmd_farm_cancel)
-
-    fp = fsub.add_parser("resume", help="re-queue a canceled/failed job "
-                         "(resumes from its checkpoints)")
-    _root(fp)
-    fp.add_argument("job", type=str)
-    fp.set_defaults(fn=cmd_farm_resume)
-
-    fp = fsub.add_parser("watch", help="stream the farm journal (JSONL)")
-    _root(fp)
-    fp.add_argument("--job", type=str, default=None,
-                    help="stream this job's per-coefficient RunJournal instead")
-    fp.add_argument("--follow", action="store_true",
-                    help="keep following for new events (default: dump and exit)")
-    fp.set_defaults(fn=cmd_farm_watch)
-
-    fp = fsub.add_parser("worker", help="run one worker process in the foreground")
-    _root(fp)
-    fp.add_argument("--id", type=str, default="worker-cli")
-    fp.add_argument("--lease-ttl", type=float, default=30.0)
-    fp.add_argument("--drain", action="store_true",
-                    help="exit when the queue has nothing claimable")
-    fp.add_argument("--job-workers", type=int, default=None,
-                    help="per-job coefficient fan-out (default: config)")
-    fp.set_defaults(fn=cmd_farm_worker)
-
-    def _service_opts(fp):
-        fp.add_argument("--workers", type=int, default=2,
-                        help="worker processes to supervise")
-        fp.add_argument("--max-concurrent", type=int, default=4,
-                        help="leases allowed out at once (back-pressure)")
-        fp.add_argument("--max-store-bytes", type=int, default=None,
-                        help="store quota; oldest-completed stores are "
-                        "evicted above it")
-        fp.add_argument("--lease-ttl", type=float, default=30.0)
-        fp.add_argument("--job-workers", type=int, default=None)
-
-    fp = fsub.add_parser("run", help="drain the queue with a supervised "
-                         "worker pool, then exit")
-    _root(fp)
-    _service_opts(fp)
-    fp.set_defaults(fn=cmd_farm_run)
-
-    fp = fsub.add_parser("serve", help="always-on service: worker pool + "
-                         "HTTP control endpoint")
-    _root(fp)
-    _service_opts(fp)
-    fp.add_argument("--host", type=str, default="127.0.0.1")
-    fp.add_argument("--port", type=int, default=8631)
-    fp.set_defaults(fn=cmd_farm_serve)
-
     return parser
 
 
@@ -617,13 +376,6 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         # registry lookups (--target / --backend / --distinguisher) raise
         # with the sorted list of registered names; surface that verbatim
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RuntimeError as exc:
-        # farm refusals (unknown job, wrong state, duplicate submit) are
-        # operator errors, not crashes: one line, exit 2
-        if type(exc).__name__ != "FarmError":
-            raise
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -25,8 +25,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.fpr.trace import ADD_STEP_LABELS, MUL_STEP_LABELS
+from repro.leakage.backend import DEFAULT_BACKEND, get_backend
 from repro.leakage.device import DeviceModel
-from repro.leakage.synth import mul_step_values
 
 __all__ = ["FpcLayout", "fpc_step_values", "synthesize_fpc_traces", "FPC_MUL_NAMES"]
 
@@ -99,11 +99,12 @@ def fpc_step_values(
     """
     y_re = np.asarray(y_re, dtype=np.uint64)
     y_im = np.asarray(y_im, dtype=np.uint64)
+    step_values = get_backend(DEFAULT_BACKEND).step_values
     mul_blocks = [
-        mul_step_values(x_re, y_re),
-        mul_step_values(x_im, y_im),
-        mul_step_values(x_re, y_im),
-        mul_step_values(x_im, y_re),
+        step_values(x_re, y_re),
+        step_values(x_im, y_im),
+        step_values(x_re, y_im),
+        step_values(x_im, y_re),
     ]
     res_col = MUL_STEP_LABELS.index("result")
     p0 = mul_blocks[0][:, res_col]

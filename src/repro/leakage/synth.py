@@ -8,9 +8,8 @@ oscilloscope-style trace matrices.
 The step-value computation itself is pluggable — see
 :mod:`repro.leakage.backend` for the ``python-ref`` (per-value
 softfloat) and ``numpy-batch`` (vectorized, bit-exact, orders of
-magnitude faster) implementations. :func:`mul_step_values` dispatches
-to the batch backend by default; hypothesis builders across the attack
-side all route through it.
+magnitude faster) implementations; :func:`synthesize_mul_traces`
+takes the backend by name.
 """
 
 from __future__ import annotations
@@ -25,22 +24,7 @@ from repro.fpr.trace import MUL_STEP_LABELS
 from repro.leakage.backend import CaptureBackend, DEFAULT_BACKEND, get_backend
 from repro.leakage.device import DeviceModel
 
-__all__ = ["mul_step_values", "trace_layout", "TraceLayout", "synthesize_mul_traces"]
-
-
-def mul_step_values(
-    x: NDArray[Any] | int,
-    y: NDArray[Any],
-    backend: str | CaptureBackend = DEFAULT_BACKEND,
-) -> NDArray[np.uint64]:  # sast: declassify(reason=leakage model of fpr multiply intermediates; consumes the secret operand by design)
-    """(D, S) uint64 matrix of intermediates for x*y, one row per pair.
-
-    ``x`` (secret) and ``y`` (known) are fpr bit patterns; ``x`` may be a
-    scalar, broadcast against ``y``. Columns follow MUL_STEP_LABELS.
-    Inputs must be nonzero normals (the capture layer filters zeros).
-    ``backend`` selects the implementation (bit-exact either way).
-    """
-    return get_backend(backend).step_values(x, y)
+__all__ = ["trace_layout", "TraceLayout", "synthesize_mul_traces"]
 
 
 @dataclass(frozen=True)
@@ -77,6 +61,6 @@ def synthesize_mul_traces(
     """Traces (D, T) plus the underlying step values (D, S) for x*y."""
     if rng is None:
         rng = device.rng()
-    values = mul_step_values(x, y, backend=backend)
+    values = get_backend(backend).step_values(x, y)
     traces = device.emit(values, rng)
     return traces, values

@@ -11,10 +11,9 @@ analyzer with three passes over the package source:
 It never imports the code it analyzes — everything is parsed — so it
 runs identically over ``src/repro`` and over test fixture trees. See
 ``docs/static-analysis.md`` for the rule catalog, the ``# sast:``
-annotation grammar, and the baseline workflow.
+annotation grammar, and the leakage-contract workflow.
 """
 
-from repro.sast.baseline import apply_baseline, load_baseline, render_baseline
 from repro.sast.cli import collect_findings, main
 from repro.sast.findings import (
     EXIT_CLEAN,
@@ -35,12 +34,9 @@ __all__ = [
     "RULES",
     "Finding",
     "Project",
-    "apply_baseline",
     "collect_findings",
-    "load_baseline",
     "load_project",
     "main",
-    "render_baseline",
     "render_json",
     "render_text",
     "sort_findings",

@@ -3,15 +3,13 @@
 Exit codes (stable contract, see ``docs/static-analysis.md``):
 
 * ``0`` — analysis ran and produced no unsuppressed findings;
-* ``1`` — at least one finding (new finding, or stale baseline entry
-  under ``--check-baseline``);
+* ``1`` — at least one finding (or contract violation under ``verify``);
 * ``2`` — usage or internal error (bad flags, unreadable root,
-  malformed baseline).
+  malformed contract).
 
 Typical invocations::
 
-    repro-sast src/repro --baseline sast-baseline.json --check-baseline
-    repro-sast src/repro --write-baseline       # refresh the baseline
+    repro-sast verify src/repro --contract leakage-contract.json
     repro-sast path/to/pkg --format json        # machine-readable report
     repro-sast rank --top 10                    # exploitability triage
 """
@@ -22,7 +20,6 @@ import argparse
 import os
 import sys
 
-from repro.sast.baseline import apply_baseline, load_baseline, render_baseline
 from repro.sast.concurrency import run_concurrency
 from repro.sast.determinism import run_determinism
 from repro.sast.findings import (
@@ -40,7 +37,6 @@ from repro.sast.taint import run_taint
 
 __all__ = ["main", "collect_findings"]
 
-_DEFAULT_BASELINE = "sast-baseline.json"
 _DEFAULT_CONTRACT = "leakage-contract.json"
 
 
@@ -77,19 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache", default=None, metavar="PATH",
         help="incremental summary cache file; unchanged import-graph "
         "components are replayed instead of re-analyzed",
-    )
-    parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help=f"baseline file of accepted findings (default: ./{_DEFAULT_BASELINE} "
-        "when it exists)",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--check-baseline", action="store_true",
-        help="also fail (exit 1) on stale baseline entries (BL001)",
     )
     parser.add_argument(
         "--rules", default=None, metavar="R1,R2",
@@ -283,7 +266,7 @@ def _run_verify(argv: list[str]) -> int:
 
 def _finish_verify(args, project, contract, findings, violations, mode) -> int:
     if args.format == "sarif":
-        from repro.sast.baseline import assign_occurrences, fingerprint
+        from repro.sast.contract import assign_occurrences, fingerprint
         from repro.sast.sarif import render_sarif
 
         accepted = {**contract.entry_map(), **contract.refuted_map()}
@@ -421,8 +404,7 @@ def _explain_rows(contract, findings, project) -> list[dict[str, object]]:
     component for them, so the recorded class rests on the keyword
     fallback (or a manual review that overrode it).
     """
-    from repro.sast.baseline import assign_occurrences, fingerprint
-    from repro.sast.contract import infer_leak_class
+    from repro.sast.contract import assign_occurrences, fingerprint, infer_leak_class
 
     by_fp = {
         fingerprint(f, project.root): f
@@ -600,58 +582,17 @@ def _run(argv: list[str] | None = None) -> int:
             return EXIT_ERROR
         findings = [f for f in findings if f.rule in wanted]
 
-    baseline_path = args.baseline
-    if baseline_path is None and os.path.exists(_DEFAULT_BASELINE):
-        baseline_path = _DEFAULT_BASELINE
-
-    if args.write_baseline:
-        path = baseline_path or _DEFAULT_BASELINE
-        from repro.utils.io import atomic_write_text
-
-        atomic_write_text(path, render_baseline(findings, project.root))
-        print(f"repro-sast: wrote {len(findings)} entr"
-              f"{'y' if len(findings) == 1 else 'ies'} to {path}")
-        return EXIT_CLEAN
-
-    stale: list[Finding] = []
-    before_baseline = findings
-    if baseline_path is not None:
-        try:
-            baseline = load_baseline(baseline_path)
-        except FileNotFoundError:
-            print(
-                f"repro-sast: error: baseline not found: {baseline_path}",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
-        except (ValueError, OSError) as exc:
-            print(f"repro-sast: error: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        findings, stale = apply_baseline(
-            findings, baseline, project.root, baseline_path
-        )
-
-    report = findings + (stale if args.check_baseline else [])
     if args.format == "sarif":
         from repro.sast.sarif import render_sarif
 
-        fresh = set(findings)
-        suppressed = [
-            (f, "accepted by the committed baseline")
-            for f in before_baseline if f not in fresh
-        ]
-        print(render_sarif(report, project.root, suppressed=suppressed))
+        print(render_sarif(findings, project.root))
     elif args.format == "json":
-        print(render_json(report))
-    elif report:
-        print(render_text(report, verbose_chains=not args.no_chains))
-    if report:
-        n_new = len(findings)
-        n_stale = len(stale) if args.check_baseline else 0
-        summary = f"repro-sast: {n_new} finding{'s' if n_new != 1 else ''}"
-        if n_stale:
-            summary += f", {n_stale} stale baseline entr{'y' if n_stale == 1 else 'ies'}"
-        print(summary, file=sys.stderr)
+        print(render_json(findings))
+    elif findings:
+        print(render_text(findings, verbose_chains=not args.no_chains))
+    if findings:
+        print(f"repro-sast: {len(findings)} finding{'s' if len(findings) != 1 else ''}",
+              file=sys.stderr)
         return EXIT_FINDINGS
     return EXIT_CLEAN
 

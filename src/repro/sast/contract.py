@@ -1,8 +1,7 @@
-"""Leakage contract: the machine-verified successor to the baseline.
+"""Leakage contract: the reviewed, machine-verified set of accepted findings.
 
-``sast-baseline.json`` accepted findings on free-text rationale alone.
-The contract (``leakage-contract.json``) is stricter — every accepted
-finding must carry:
+The contract (``leakage-contract.json``) records every finding the
+reproduction keeps on purpose; each accepted finding must carry:
 
 * a **leak class** tying it to the paper's taxonomy (``sign``,
   ``exponent``, ``mantissa-mul``, ``mantissa-add`` of the
@@ -21,8 +20,10 @@ taint engine produced one (CT006), countermeasure variants must honor
 their recorded ``classes_absent``/``residual`` claims (CT007), and —
 when the dynamic oracle runs — recorded verdicts must still hold and
 declassify scopes inside the declared coverage must still execute.
-Entries are matched by the same drift-tolerant fingerprint the
-baseline used: ``(rule, path, function, normalized line, occurrence)``.
+Entries are matched by a fingerprint that survives line drift:
+``(rule, root-relative path, enclosing function, normalized source
+line, occurrence index)`` — moving a function around the file keeps its
+entry valid, while editing the flagged line invalidates it.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from typing import TYPE_CHECKING, Any, Iterable, Mapping
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sast.project import Project
 
-from repro.sast.baseline import assign_occurrences, fingerprint
 from repro.sast.exploit import Exploitability, score_contract
 from repro.sast.findings import Finding
 from repro.sast.oracle import CONFIRMED, LIVE, REFUTED, UNREACHED, OracleReport
@@ -53,7 +53,9 @@ __all__ = [
     "HEURISTIC_FALLBACK_RULES",
     "Contract",
     "ContractEntry",
+    "assign_occurrences",
     "build_contract",
+    "fingerprint",
     "infer_leak_class",
     "load_contract",
     "render_contract",
@@ -78,6 +80,37 @@ _ENTRY_VERDICTS = (CONFIRMED, UNREACHED, REFUTED, "N/A")
 DEFAULT_COVERAGE = ("falcon/", "fpr/", "math/")
 
 Fingerprint = tuple[str, str, str, str, int]
+
+
+def _relpath(path: str, root: str) -> str:
+    try:
+        rel = os.path.relpath(path, root)
+    except ValueError:
+        return path.replace(os.sep, "/")
+    return rel.replace(os.sep, "/")
+
+
+def fingerprint(finding: Finding, root: str) -> Fingerprint:
+    return (
+        finding.rule,
+        _relpath(finding.path, root),
+        finding.function,
+        normalize_line(finding.source_line),
+        finding.occurrence,
+    )
+
+
+def assign_occurrences(findings: list[Finding]) -> list[Finding]:
+    """Number findings that share a fingerprint prefix, in line order."""
+    ordered = sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
+    counts: dict[tuple[str, str, str, str], int] = {}
+    out: list[Finding] = []
+    for f in ordered:
+        key = (f.rule, f.path, f.function, normalize_line(f.source_line))
+        n = counts.get(key, 0)
+        counts[key] = n + 1
+        out.append(replace(f, occurrence=n))
+    return out
 
 
 @dataclass(frozen=True)

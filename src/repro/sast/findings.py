@@ -1,16 +1,16 @@
 """Finding model, rule catalog, and renderers for ``repro.sast``.
 
-Every pass emits :class:`Finding` dataclasses; the runner sorts, applies
-the baseline, and renders them either as ruff-style text
-(``path:line:col: RULE message``) or as JSON (one object per finding
-with the full ``taint_chain``). Exit codes are part of the contract so
+Every pass emits :class:`Finding` dataclasses; the runner sorts them,
+checks them against the leakage contract under ``verify``, and renders
+them either as ruff-style text (``path:line:col: RULE message``) or as
+JSON (one object per finding with the full ``taint_chain``). Exit codes are part of the contract so
 CI and shell scripts can tell outcomes apart:
 
 * ``EXIT_CLEAN`` (0) — analysis ran, no unsuppressed findings;
-* ``EXIT_FINDINGS`` (1) — analysis ran, at least one finding (including
-  stale-baseline entries under ``--check-baseline``);
+* ``EXIT_FINDINGS`` (1) — analysis ran, at least one finding (or
+  contract violation under ``verify``);
 * ``EXIT_ERROR`` (2) — usage or internal error (bad flags, unreadable
-  root, malformed baseline file).
+  root, malformed contract file).
 """
 
 from __future__ import annotations
@@ -58,10 +58,9 @@ RULES: dict[str, str] = {
     "ProcessPoolExecutor workers",
     "CC002": "file write bypasses repro.utils.io atomic_write_* (raw open/Path "
     "write modes, non-atomic np.save)",
-    # -- annotations / baseline (meta) ------------------------------------
+    # -- annotations (meta) -----------------------------------------------
     "AN001": "malformed sast annotation (unknown kind, declassify without a "
     "reason, or a bad rule list)",
-    "BL001": "stale baseline entry (matches no current finding)",
     # -- leakage contract (CT) --------------------------------------------
     "CT001": "finding not covered by the leakage contract (new leak chain)",
     "CT002": "stale contract entry (matches no current finding)",
@@ -88,7 +87,7 @@ class Finding:
     #: determinism / concurrency / meta rules.
     taint_chain: tuple[str, ...] = ()
     #: Qualified name of the enclosing function ("" at module level);
-    #: part of the baseline fingerprint so entries survive line drift.
+    #: part of the contract fingerprint so entries survive line drift.
     function: str = ""
     #: Normalized source text of the flagged line (fingerprint component).
     source_line: str = ""

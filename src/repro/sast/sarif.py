@@ -102,7 +102,7 @@ def render_sarif(
     """
     severity: dict[tuple, float] = {}
     if contract is not None:
-        from repro.sast.baseline import fingerprint
+        from repro.sast.contract import fingerprint
 
         for entry in contract.entries:
             if entry.exploitability is not None:

@@ -24,10 +24,6 @@ __all__ = [
     "from_bits",
 ]
 
-# Lookup table for one byte; shared by scalar and vector paths.
-_BYTE_HW = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
-
-
 def mask(nbits: int) -> int:
     """Return an ``nbits``-wide all-ones mask (``nbits >= 0``)."""
     if nbits < 0:
@@ -57,7 +53,8 @@ def hamming_weight_array(values: NDArray[Any], width: int = 64) -> NDArray[np.in
     values:
         Array of unsigned integers. dtype must be an unsigned integer type
         of at most 64 bits; values wider than 64 bits must be split by the
-        caller (see :func:`repro.attack.hypotheses.product_hw`).
+        caller (:func:`repro.fpr.trace.mul_limbs` keeps every partial
+        product of the multiply within 64 bits).
     width:
         Only the low ``width`` bits contribute (1..64).
     """
@@ -68,12 +65,7 @@ def hamming_weight_array(values: NDArray[Any], width: int = 64) -> NDArray[np.in
         arr = arr.astype(np.uint64)
     if width < 64:
         arr = arr & np.uint64(mask(width))
-    if hasattr(np, "bitwise_count"):  # numpy >= 2.0: hardware popcount
-        return np.bitwise_count(arr).astype(np.int64)
-    # Fallback: view as bytes and sum the per-byte weights.
-    flat = np.ascontiguousarray(arr, dtype=np.uint64)
-    as_bytes = flat.view(np.uint8).reshape(*flat.shape, 8)
-    return _BYTE_HW[as_bytes].sum(axis=-1).astype(np.int64)
+    return np.bitwise_count(arr).astype(np.int64)
 
 
 def bit_reverse(value: int, nbits: int) -> int:

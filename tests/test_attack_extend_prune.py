@@ -143,6 +143,17 @@ class TestSignExponent:
         rec = recover_exponent(ts0, guess_range=(1000, 1050))
         assert 1000 <= rec.biased_exponent < 1050
 
+    def test_exponent_repr_is_a_summary(self, ts0):
+        sig = true_parts(ts0)["sig"]
+        rec = recover_exponent(ts0, significand=sig, guess_range=(963, 1084))
+        text = repr(rec)
+        assert len(text) < 160
+        assert f"biased_exponent={rec.biased_exponent}" in text
+        assert f"margin={rec.margin:.4g}" in text
+        for res in rec.results:
+            assert len(repr(res)) < 160
+            assert f"best_guess={res.best_guess}" in repr(res)
+
 
 class TestCoefficientRecovery:
     def test_full_coefficient(self, ts0):

@@ -16,8 +16,8 @@ from repro.leakage import (
     synthesize_mul_traces,
     trace_layout,
 )
+from repro.leakage.backend import DEFAULT_BACKEND, get_backend
 from repro.leakage.capture import doubles_to_fft, fft_to_doubles
-from repro.leakage.synth import mul_step_values
 from repro.leakage.traceset import Segment
 
 
@@ -126,7 +126,9 @@ class TestSynth:
 
     def test_zero_operand_rejected(self):
         with pytest.raises(ValueError):
-            mul_step_values(0, np.array([np.float64(1.5).view(np.uint64)]))
+            get_backend(DEFAULT_BACKEND).step_values(
+                0, np.array([np.float64(1.5).view(np.uint64)])
+            )
 
     def test_synthesize_shapes(self):
         dev = DeviceModel()

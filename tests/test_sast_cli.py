@@ -58,13 +58,6 @@ def test_exit_two_on_unknown_rule_filter(tmp_path, capsys):
     assert "NOPE9" in capsys.readouterr().err
 
 
-def test_exit_two_on_malformed_baseline(tmp_path, capsys):
-    root = _pkg(tmp_path, {"ok.py": _CLEAN})
-    bad = tmp_path / "bad.json"
-    bad.write_text("{")
-    assert main([root, "--baseline", str(bad)]) == EXIT_ERROR
-
-
 def test_rule_filter_restricts_report(tmp_path, capsys):
     root = _pkg(tmp_path, {"leak.py": _LEAKY})
     assert main([root, "--rules", "DT001"]) == EXIT_CLEAN
@@ -89,21 +82,6 @@ def test_json_format_clean_tree(tmp_path, capsys):
     assert main([root, "--format", "json"]) == EXIT_CLEAN
     payload = json.loads(capsys.readouterr().out)
     assert payload == {"findings": [], "count": 0}
-
-
-def test_write_then_check_baseline_cycle(tmp_path, capsys):
-    root = _pkg(tmp_path, {"leak.py": _LEAKY})
-    baseline = str(tmp_path / "bl.json")
-    assert main([root, "--write-baseline", "--baseline", baseline]) == EXIT_CLEAN
-    # baselined findings no longer fail the gate
-    assert main([root, "--baseline", baseline, "--check-baseline"]) == EXIT_CLEAN
-    # fixing the code makes the entry stale: plain run passes ...
-    write_package(root, {"leak.py": _CLEAN})
-    assert main([root, "--baseline", baseline]) == EXIT_CLEAN
-    # ... but --check-baseline fails with BL001 until the entry is removed
-    capsys.readouterr()
-    assert main([root, "--baseline", baseline, "--check-baseline"]) == EXIT_FINDINGS
-    assert "BL001" in capsys.readouterr().out
 
 
 def test_list_rules(capsys):

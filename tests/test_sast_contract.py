@@ -14,13 +14,15 @@ import shutil
 
 import pytest
 
-from tests.sast_util import write_package
+from tests.sast_util import by_rule, findings_for, load_fixture, write_package
 
-from repro.sast.cli import main
+from repro.sast.cli import collect_findings, main
 from repro.sast.contract import (
     Contract,
     ContractEntry,
+    assign_occurrences,
     build_contract,
+    fingerprint,
     infer_leak_class,
     load_contract,
     render_contract,
@@ -149,6 +151,58 @@ def test_verify_clean_when_contract_matches(tmp_path):
     entry = _entry()
     contract = Contract(entries=[entry])
     assert verify_contract([_finding(entry, root)], contract, root) == []
+
+
+# -- fingerprint matching ----------------------------------------------------
+
+_LEAKY = """\
+def leak(sk):
+    if sk.f[0] > 0:
+        return 1
+    return 0
+"""
+
+
+def _findings_and_root(tmp_path, files, package="pkg"):
+    project = load_fixture(tmp_path, files, package)
+    return collect_findings(project), project.root
+
+
+def test_fingerprint_survives_line_drift(tmp_path):
+    findings, root = _findings_and_root(tmp_path / "a", {"leak.py": _LEAKY})
+    contract = build_contract(findings, root)
+    # prepend a docstring + helper: every line number shifts, the
+    # fingerprint (function, normalized line text) does not
+    shifted = '"""Docstring pushing everything down."""\n\nX = 1\n\n' + _LEAKY
+    moved, moved_root = _findings_and_root(tmp_path / "b", {"leak.py": shifted})
+    assert [f.line for f in moved] != [f.line for f in findings]
+    assert verify_contract(moved, contract, moved_root) == []
+
+
+def test_editing_the_flagged_line_invalidates_the_entry(tmp_path):
+    findings, root = _findings_and_root(tmp_path / "a", {"leak.py": _LEAKY})
+    contract = build_contract(findings, root)
+    edited = _LEAKY.replace("sk.f[0] > 0", "sk.f[1] > 0")
+    new, new_root = _findings_and_root(tmp_path / "b", {"leak.py": edited})
+    violations = verify_contract(new, contract, new_root)
+    # the edited finding is untriaged again and the old entry is stale
+    assert sorted(v.rule for v in violations) == (
+        ["CT001"] * len(new) + ["CT002"] * len(contract.entries)
+    )
+
+
+def test_occurrences_disambiguate_identical_lines(tmp_path):
+    src = """\
+    def twice(sk):
+        a = sk.f[0] % 3
+        a = sk.f[0] % 3
+        return a
+    """
+    findings = by_rule(findings_for(tmp_path, {"dup.py": src}), "SF003")
+    assert len(findings) == 2
+    fps = {fingerprint(f, str(tmp_path)) for f in assign_occurrences(findings)}
+    assert len(fps) == 2                   # occurrence index separates them
+    assert {fp[4] for fp in fps} == {0, 1}
 
 
 # -- planted-defect acceptance tests (real tree + dynamic oracle) ----------

@@ -13,8 +13,10 @@ import os
 
 from tests.sast_util import write_package
 
-from repro.sast.cli import main
+from repro.sast.cli import collect_findings, main
+from repro.sast.contract import build_contract, render_contract
 from repro.sast.findings import EXIT_CLEAN, EXIT_FINDINGS, RULES
+from repro.sast.project import load_project
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -110,12 +112,13 @@ def test_sarif_clean_tree_is_valid_and_empty(tmp_path, capsys):
     assert doc["runs"][0]["results"] == []
 
 
-def test_sarif_baseline_suppressions(tmp_path, capsys):
+def test_sarif_contract_suppressions(tmp_path, capsys):
     root = _pkg(tmp_path, {"leak.py": _LEAKY})
-    baseline = str(tmp_path / "bl.json")
-    assert main([root, "--write-baseline", "--baseline", baseline]) == EXIT_CLEAN
-    capsys.readouterr()
-    assert main([root, "--baseline", baseline, "--format", "sarif"]) == EXIT_CLEAN
+    findings = collect_findings(load_project(root))
+    contract = tmp_path / "contract.json"
+    contract.write_text(render_contract(build_contract(findings, root)))
+    assert main(["verify", root, "--contract", str(contract),
+                 "--format", "sarif"]) == EXIT_CLEAN
     doc = json.loads(capsys.readouterr().out)
     validate_sarif(doc)
     results = doc["runs"][0]["results"]

@@ -163,15 +163,18 @@ class TestPearsonAccumulator:
     def test_update_matches_batched(self):
         rng = np.random.default_rng(5)
         hyps = rng.standard_normal((300, 4))
+        hyps[:, 3] = 1.0  # a degenerate (constant) guess column scores 0
         traces = rng.standard_normal((300, 9))
-        acc = PearsonAccumulator()
-        for lo in range(0, 300, 77):  # deliberately uneven chunks
-            acc.update(hyps[lo : lo + 77], traces[lo : lo + 77])
-        assert acc.count == 300
-        assert acc.n_guesses == 4 and acc.n_samples == 9
-        np.testing.assert_allclose(
-            acc.correlation(), batched_pearson(hyps, traces), atol=1e-9
-        )
+        # deliberately uneven chunks, then single-row batches
+        for chunk in (77, 1):
+            acc = PearsonAccumulator()
+            for lo in range(0, 300, chunk):
+                acc.update(hyps[lo : lo + chunk], traces[lo : lo + chunk])
+            assert acc.count == 300
+            assert acc.n_guesses == 4 and acc.n_samples == 9
+            corr = acc.correlation()
+            np.testing.assert_allclose(corr, batched_pearson(hyps, traces), atol=1e-9)
+            assert np.all(corr[3] == 0.0)
 
     def test_merge_matches_single_stream(self):
         """Two accumulators merged == one accumulator over everything,
