@@ -94,7 +94,7 @@ def run_cpa(
 
     ``chunk_rows`` switches to the streaming accumulator: the correlation
     is built from raw-moment sums over ``chunk_rows``-trace batches, so
-    the float64 working set stays O(chunk) instead of O(D). Results agree
+    the traces are cast to float64 one chunk at a time. Results agree
     with the one-shot path to float64 summation-order error.
 
     ``n_traces`` on the result is the row count actually correlated —

@@ -173,7 +173,7 @@ def _gather_scores(
     """
     lut = np.full(int(classes.max()) + 2, -1, dtype=np.int64)
     lut[classes.astype(np.int64)] = np.arange(len(classes))
-    h = np.asarray(hyp, dtype=np.int64)
+    h = np.ascontiguousarray(hyp, dtype=np.int64)  # row-major: sums independent of layout
     idx = lut[np.clip(h, 0, len(lut) - 1)]
     row_floor = ll.min(axis=1)
     gathered = np.take_along_axis(ll, np.clip(idx, 0, ll.shape[1] - 1), axis=1)

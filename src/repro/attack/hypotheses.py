@@ -5,16 +5,18 @@ predicted HW of one architectural intermediate of the instrumented
 multiply (:mod:`repro.fpr.trace`), for each of D traces (rows, known
 operand varies) and G guesses (columns, secret candidate varies).
 
-Memory is bounded by chunking over guesses: a full (D, G) uint64
-intermediate matrix is never materialized beyond ``_CHUNK`` columns.
+Each predictor runs guess-major on cache-sized blocks of guesses
+(:func:`repro.utils.stats.guess_block`) against all D known operands,
+and its popcount goes straight into a (G, D) uint8 buffer; the returned
+matrix is that buffer's transpose, so each guess's column is contiguous.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.fpr.trace import LOW_BITS
-from repro.utils.bits import hamming_weight_array
+from repro.fpr.trace import EXP_REBIAS, LOW_BITS
+from repro.utils.stats import guess_block
 
 __all__ = [
     "known_limbs",
@@ -34,7 +36,6 @@ _U = np.uint64
 _MASK25 = _U((1 << LOW_BITS) - 1)
 _MANT_MASK = _U((1 << 52) - 1)
 _IMPLICIT = _U(1 << 52)
-_CHUNK = 256
 
 
 def known_limbs(y_patterns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -54,17 +55,16 @@ def known_sign(y_patterns: np.ndarray) -> np.ndarray:
     return y >> _U(63)
 
 
-def _hw_outer(known: np.ndarray, guesses: np.ndarray, fn) -> np.ndarray:
-    """HW(fn(known[:, None], guess[None, :])) computed in guess chunks."""
-    known = np.asarray(known, dtype=np.uint64)
+def _hw_matrix(guesses: np.ndarray, fn, *known: np.ndarray) -> np.ndarray:
+    """(D, G) int8 HW(fn(*known, guess)); ``fn`` gets (1, D) knowns and (b, 1) guesses."""
+    rows = [np.asarray(k, dtype=np.uint64)[None, :] for k in known]
     guesses = np.asarray(guesses, dtype=np.uint64)
-    d, g = known.shape[0], guesses.shape[0]
-    out = np.empty((d, g), dtype=np.int8)
-    for lo in range(0, g, _CHUNK):
-        hi = min(lo + _CHUNK, g)
-        vals = fn(known[:, None], guesses[None, lo:hi])
-        out[:, lo:hi] = hamming_weight_array(vals).astype(np.int8)
-    return out
+    d, g = rows[0].shape[1], guesses.shape[0]
+    out = np.empty((g, d), dtype=np.uint8)
+    step = guess_block(d)
+    for lo in range(0, g, step):
+        np.bitwise_count(fn(*rows, guesses[lo : lo + step, None]), out=out[lo : lo + step])
+    return out.T.view(np.int8)
 
 
 def hyp_product(known_limb: np.ndarray, guesses: np.ndarray, mask_bits: int | None = None) -> np.ndarray:
@@ -78,61 +78,42 @@ def hyp_product(known_limb: np.ndarray, guesses: np.ndarray, mask_bits: int | No
     """
     if mask_bits is not None:
         m = _U((1 << mask_bits) - 1)
-        return _hw_outer(known_limb, guesses, lambda k, g: (k * g) & m)
-    return _hw_outer(known_limb, guesses, lambda k, g: k * g)
+        return _hw_matrix(guesses, lambda k, g: (k * g) & m, known_limb)
+    return _hw_matrix(guesses, lambda k, g: k * g, known_limb)
+
+
+def _s_lo(b: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """s_lo = (D*B >> 25) + D*A for known limbs (B, A) and low limb(s) D."""
+    return ((d * b) >> _U(LOW_BITS)) + d * a
 
 
 def hyp_s_lo(y_lo: np.ndarray, y_hi: np.ndarray, d_candidates: np.ndarray) -> np.ndarray:
     """HW of s_lo = (D*B >> 25) + D*A — the prune target for the low limb."""
-    return _hw_outer_pair(
-        y_lo, y_hi, d_candidates, lambda b, a, d: ((d * b) >> _U(LOW_BITS)) + d * a
-    )
+    return _hw_matrix(d_candidates, _s_lo, y_lo, y_hi)
 
 
 def hyp_s_mid(
     y_lo: np.ndarray, y_hi: np.ndarray, d_low: int, c_candidates: np.ndarray
 ) -> np.ndarray:
     """HW of s_mid = s_lo + C*B, with the low limb D already recovered."""
-    d = _U(d_low)
-    return _hw_outer_pair(
-        y_lo,
-        y_hi,
-        c_candidates,
-        lambda b, a, c: ((d * b) >> _U(LOW_BITS)) + d * a + c * b,
-    )
+    b, a = (np.asarray(k, dtype=np.uint64) for k in (y_lo, y_hi))
+    return _hw_matrix(c_candidates, lambda s, b, c: s + c * b, _s_lo(b, a, _U(d_low)), b)
 
 
 def hyp_s_hi(
     y_lo: np.ndarray, y_hi: np.ndarray, d_low: int, c_candidates: np.ndarray
 ) -> np.ndarray:
     """HW of s_hi = (s_mid >> 25) + C*A (the full product's top bits)."""
-    d = _U(d_low)
-
-    def fn(b, a, c):
-        s_mid = ((d * b) >> _U(LOW_BITS)) + d * a + c * b
-        return (s_mid >> _U(LOW_BITS)) + c * a
-
-    return _hw_outer_pair(y_lo, y_hi, c_candidates, fn)
-
-
-def _hw_outer_pair(k1: np.ndarray, k2: np.ndarray, guesses: np.ndarray, fn) -> np.ndarray:
-    """Chunked HW for predictors needing two known arrays."""
-    k1 = np.asarray(k1, dtype=np.uint64)
-    k2 = np.asarray(k2, dtype=np.uint64)
-    guesses = np.asarray(guesses, dtype=np.uint64)
-    d, g = k1.shape[0], guesses.shape[0]
-    out = np.empty((d, g), dtype=np.int8)
-    for lo in range(0, g, _CHUNK):
-        hi = min(lo + _CHUNK, g)
-        vals = fn(k1[:, None], k2[:, None], guesses[None, lo:hi])
-        out[:, lo:hi] = hamming_weight_array(vals).astype(np.int8)
-    return out
+    b, a = (np.asarray(k, dtype=np.uint64) for k in (y_lo, y_hi))
+    return _hw_matrix(
+        c_candidates, lambda s, b, a, c: ((s + c * b) >> _U(LOW_BITS)) + c * a,
+        _s_lo(b, a, _U(d_low)), b, a,
+    )
 
 
 def hyp_exp_sum(y_patterns: np.ndarray, guesses: np.ndarray) -> np.ndarray:
     """HW of the raw biased exponent sum E_x + E_y for guessed E_x."""
-    ey = known_exponent(y_patterns)
-    return _hw_outer(ey, guesses, lambda k, g: k + g)
+    return _hw_matrix(guesses, lambda k, g: k + g, known_exponent(y_patterns))
 
 
 def hyp_exp_biased(y_patterns: np.ndarray, guesses: np.ndarray) -> np.ndarray:
@@ -143,12 +124,11 @@ def hyp_exp_biased(y_patterns: np.ndarray, guesses: np.ndarray) -> np.ndarray:
     profiles of two guesses are generally not offset by a constant, so
     this intermediate disambiguates the tie classes of ``hyp_exp_sum``.
     """
-    from repro.fpr.trace import EXP_REBIAS
-
-    ey = known_exponent(y_patterns)
     rebias = _U(EXP_REBIAS)
     m32 = _U(0xFFFFFFFF)
-    return _hw_outer(ey, guesses, lambda k, g: (k + g - rebias) & m32)
+    return _hw_matrix(
+        guesses, lambda k, g: (k + g - rebias) & m32, known_exponent(y_patterns)
+    )
 
 
 def hyp_exp_out(y_patterns: np.ndarray, guesses: np.ndarray, significand: int) -> np.ndarray:  # sast: declassify(reason=hypothesis engine enumerates candidate intermediates; operates on attacker guesses, not victim control flow)
@@ -161,25 +141,18 @@ def hyp_exp_out(y_patterns: np.ndarray, guesses: np.ndarray, significand: int) -
     """
     if not 1 << 52 <= significand < 1 << 53:
         raise ValueError(f"significand out of range: {significand:#x}")
-    y = np.asarray(y_patterns, dtype=np.uint64)
-    guesses = np.asarray(guesses, dtype=np.uint64)
-    mant = _U(significand) & _MANT_MASK
-    x_pats = ((guesses << _U(52)) | mant).view(np.float64)
-    y_f = y.view(np.float64)
-    d, g = y.shape[0], guesses.shape[0]
-    out = np.empty((d, g), dtype=np.int8)
-    for lo in range(0, g, _CHUNK):
-        hi = min(lo + _CHUNK, g)
+    x_pats = (np.asarray(guesses, dtype=np.uint64) << _U(52)) | (_U(significand) & _MANT_MASK)
+
+    def fn(y, x):
         # Extreme wrong guesses overflow to inf — a legal (useless)
         # hypothesis for those columns, so silence the FP warning.
         with np.errstate(over="ignore", under="ignore"):
-            prod = y_f[:, None] * x_pats[None, lo:hi]
-        exp_field = (prod.view(np.uint64) >> _U(52)) & _U(0x7FF)
-        out[:, lo:hi] = hamming_weight_array(exp_field).astype(np.int8)
-    return out
+            prod = y.view(np.float64) * x.view(np.float64)
+        return (prod.view(np.uint64) >> _U(52)) & _U(0x7FF)
+
+    return _hw_matrix(x_pats, fn, y_patterns)
 
 
 def hyp_sign(y_patterns: np.ndarray) -> np.ndarray:
     """(D, 2) hypothesis for the result sign: guess s_x in {0, 1}."""
-    sy = known_sign(y_patterns)
-    return _hw_outer(sy, np.array([0, 1], dtype=np.uint64), lambda k, g: k ^ g)
+    return _hw_matrix(np.array([0, 1]), lambda k, g: k ^ g, known_sign(y_patterns))

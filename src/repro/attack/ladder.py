@@ -37,12 +37,12 @@ class LadderStage:
     covered_bits: int
     candidates: np.ndarray       # (C,) candidate limb values (low covered_bits)
     scores: np.ndarray           # (C,) combined CPA scores
-    survivors: np.ndarray        # (<=beam,) best candidates carried forward
+    survivors: np.ndarray        # best candidates carried forward, best-first
 
 
 @dataclass
 class LadderResult:
-    """Final candidates (best-first) plus per-stage diagnostics."""
+    """Final candidates best-first, their final-stage scores, and per-stage diagnostics."""
 
     candidates: np.ndarray
     scores: np.ndarray
@@ -129,13 +129,10 @@ def ladder_limb(  # sast: declassify(reason=extend-and-prune ladder ranks attack
         # unfalsified at this stage and must stay alive until the first
         # nonzero secret bit gives it a real score.
         kept = np.unique(np.concatenate([kept, survivors]))
-        stage = LadderStage(
-            covered_bits=covered,
-            candidates=cands,
-            scores=scores,
-            survivors=kept,
-        )
-        stages.append(stage)
-        survivors = stage.survivors
-    final_scores = stages[-1].scores[np.argsort(-stages[-1].scores, kind="stable")][: len(survivors)]
-    return LadderResult(candidates=survivors, scores=final_scores, stages=stages)
+        # Each kept value is a candidate of this stage (a survivor is its
+        # own zero extension), so each has a score; order best-first.
+        kept_scores = scores[np.searchsorted(cands, kept)]
+        order = np.argsort(-kept_scores, kind="stable")
+        survivors = kept[order]
+        stages.append(LadderStage(covered, cands, scores, survivors))
+    return LadderResult(candidates=survivors, scores=kept_scores[order], stages=stages)

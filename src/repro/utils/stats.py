@@ -12,8 +12,8 @@ sum t, sum t^2, sum h*t), which makes it streamable: a
 :class:`PearsonAccumulator` folds (D, G)/(D, T) batches in as they
 arrive and can emit the correlation matrix at any point. Both
 :func:`batched_pearson` (one-shot) and :func:`streaming_pearson`
-(chunked, O(chunk) working memory) finalize through the same code path,
-so their results agree to float64 summation-order differences.
+(chunked) share one blocked hypothesis-sum kernel and the finalization
+code, so their results agree to float64 summation-order differences.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ FloatArray = NDArray[np.float64]
 
 __all__ = [
     "pearson_corr",
+    "guess_block",
     "batched_pearson",
     "streaming_pearson",
     "PearsonAccumulator",
@@ -130,6 +131,32 @@ def _finalize_pearson(
     return np.clip(corr, -1.0, 1.0).astype(np.float64)
 
 
+#: One guess block's 8-byte working array: ~1.5 MB, inside a 2 MB per-core L2.
+_BLOCK_BYTES = 3 << 19
+
+
+def guess_block(n_rows: int) -> int:
+    """Guesses per block so one (block, n_rows) 8-byte array is ~1.5 MB."""
+    return max(1, _BLOCK_BYTES // (8 * max(n_rows, 1)))
+
+
+def _hyp_sums(hyps: NDArray[Any], t: FloatArray) -> tuple[FloatArray, FloatArray, FloatArray]:
+    """(sum h, sum h^2, sum h*t) over :func:`guess_block`-column blocks.
+
+    Only one block at a time is cast to float64, guess-major; for a
+    column-major ``hyps`` (what the builders return) it is one contiguous slice.
+    """
+    d, g = hyps.shape
+    sum_h, sum_h2, sum_ht = np.empty(g), np.empty(g), np.empty((g, t.shape[1]))
+    step = guess_block(d)
+    for lo in range(0, g, step):
+        hb = np.ascontiguousarray(hyps[:, lo : lo + step].T, dtype=np.float64)
+        sum_h[lo : lo + step] = hb.sum(axis=1)
+        sum_h2[lo : lo + step] = np.einsum("gd,gd->g", hb, hb)
+        sum_ht[lo : lo + step] = hb @ t
+    return sum_h, sum_h2, sum_ht
+
+
 def _validate_pair(hyps: NDArray[Any], traces: NDArray[Any]) -> None:
     if hyps.ndim != 2 or traces.ndim != 2 or hyps.shape[0] != traces.shape[0]:
         raise ValueError(
@@ -152,18 +179,13 @@ def batched_pearson(hyps: NDArray[Any], traces: NDArray[Any]) -> FloatArray:
     (G, T) array of Pearson correlations; columns with zero variance on
     either side produce 0.0 rather than NaN.
     """
-    _validate_pair(np.asarray(hyps), np.asarray(traces))
-    # Raw-moment formulation: one float64 cast of the hypothesis matrix,
-    # no centered copies (the matrices here are 10k x thousands).
-    h = np.asarray(hyps, dtype=np.float64)
+    h = np.asarray(hyps)
     t = np.asarray(traces, dtype=np.float64)
+    _validate_pair(h, t)
+    # Raw moments with no centered copies and no float64 copy of the whole (D, G) matrix.
+    sum_h, sum_h2, sum_ht = _hyp_sums(h, t)
     return _finalize_pearson(
-        h.shape[0],
-        h.sum(axis=0),
-        np.einsum("dg,dg->g", h, h),
-        t.sum(axis=0),
-        np.einsum("dt,dt->t", t, t),
-        h.T @ t,
+        h.shape[0], sum_h, sum_h2, t.sum(axis=0), np.einsum("dt,dt->t", t, t), sum_ht
     )
 
 
@@ -194,7 +216,7 @@ class PearsonAccumulator:
 
     def update(self, hyps: NDArray[Any], traces: NDArray[Any]) -> "PearsonAccumulator":
         """Fold in one (D, G)/(D, T) batch of rows; returns self."""
-        h = np.atleast_2d(np.asarray(hyps, dtype=np.float64))
+        h = np.atleast_2d(np.asarray(hyps))
         t = np.atleast_2d(np.asarray(traces, dtype=np.float64))
         _validate_pair(h, t)
         if self._sum_h is not None and self._sum_t is not None and (
@@ -216,12 +238,13 @@ class PearsonAccumulator:
             self._sum_h2 is not None and self._sum_t is not None
             and self._sum_t2 is not None and self._sum_ht is not None
         )
+        sum_h, sum_h2, sum_ht = _hyp_sums(h, t)
         self.count += h.shape[0]
-        self._sum_h += h.sum(axis=0)
-        self._sum_h2 += np.einsum("dg,dg->g", h, h)
+        self._sum_h += sum_h
+        self._sum_h2 += sum_h2
         self._sum_t += t.sum(axis=0)
         self._sum_t2 += np.einsum("dt,dt->t", t, t)
-        self._sum_ht += h.T @ t
+        self._sum_ht += sum_ht
         return self
 
     def merge(self, other: "PearsonAccumulator") -> "PearsonAccumulator":
@@ -281,11 +304,11 @@ def streaming_pearson(
     """Chunked equivalent of :func:`batched_pearson`.
 
     Processes ``chunk_rows`` traces at a time through a
-    :class:`PearsonAccumulator`, so the float64 working set is
-    O(chunk_rows * (G + T)) regardless of D — the full-corpus float64
-    cast that :func:`batched_pearson` performs never materializes.
-    Results agree with the one-shot path to float64 summation-order
-    error (far below 1e-9 in practice).
+    :class:`PearsonAccumulator`, so only ``chunk_rows`` rows of the
+    traces are cast to float64 at once; the hypothesis sums use the same
+    blocked kernel as :func:`batched_pearson`. Results agree with the
+    one-shot path to float64 summation-order error (far below 1e-9 in
+    practice).
     """
     if chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")

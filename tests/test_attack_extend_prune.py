@@ -77,6 +77,17 @@ class TestLadder:
             alias_class.update(shift_aliases(s, LOW_BITS))
         assert parts["lo"] in alias_class
 
+    def test_result_is_best_first(self, ts0):
+        """``best`` is the top final-stage candidate; ``scores`` line up."""
+        res = ladder_limb(ts0, LOW_LIMB_STEPS, total_bits=15, window=5, beam=8, keep=8)
+        last = res.stages[-1]
+        idx = np.searchsorted(last.candidates, res.candidates)
+        np.testing.assert_array_equal(last.candidates[idx], res.candidates)
+        np.testing.assert_array_equal(res.scores, last.scores[idx])
+        assert np.all(np.diff(res.scores) <= 0)
+        assert res.best == int(last.candidates[np.argmax(last.scores)])
+        np.testing.assert_array_equal(res.candidates, last.survivors)
+
     def test_bad_total_bits(self, ts0):
         with pytest.raises(ValueError):
             ladder_limb(ts0, LOW_LIMB_STEPS, total_bits=0)
