@@ -2,7 +2,7 @@
 
 PYTHON ?= python3
 
-.PHONY: install test lint sast sast-oracle sast-contract sast-variants typecheck bench bench-smoke demo figures smoke verify clean
+.PHONY: install test lint sast sast-oracle sast-contract sast-variants typecheck demo figures smoke verify clean
 
 install:
 	pip install -e . --no-build-isolation || $(PYTHON) setup.py develop
@@ -58,27 +58,6 @@ typecheck:
 		echo "mypy not installed; skipping typecheck (CI runs it)"; \
 	fi
 
-# Full suite at the paper's trace budget. The headline benches emit
-# BENCH_*.json perf artifacts (schema in benchmarks/_emit.py); the gate
-# compares them against bench-baseline/ and fails on >25% regressions
-# (no baseline directory = recording-only run, always passes).
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only -q -s
-	$(PYTHON) -m pytest benchmarks/bench_e2e_key_recovery.py -q -s \
-		-k "capture_backend_throughput or streaming_cpa_matches_one_shot"
-	$(PYTHON) scripts/check_bench_regression.py --baseline bench-baseline --current .
-
-# CI-sized perf trajectory: the same emitting benches at reduced trace
-# counts, then the regression gate. The capture-backend microbench runs
-# in the same process as the throughput bench so its measured rates land
-# in BENCH_throughput.json's capture_backends block.
-bench-smoke:
-	FALCON_BENCH_TRACES=6000 FALCON_BENCH_THROUGHPUT_TRACES=800 \
-	$(PYTHON) -m pytest benchmarks/bench_e2e_key_recovery.py -q -s \
-		-k "e2e_key_recovery_and_forgery or capture_backend_throughput or streaming_cpa_matches_one_shot"
-	$(PYTHON) -m pytest benchmarks/bench_sast.py --benchmark-only -q -s
-	$(PYTHON) scripts/check_bench_regression.py --baseline bench-baseline --current .
-
 # End-to-end smoke of the moving parts the unit tests mock: the
 # 2-worker fan-out, a materialized campaign store, and a checkpointed
 # session resume (scripts/e2e_smoke.py). Catches pickling, per-target
@@ -90,7 +69,11 @@ SMOKE_TARGET ?= fpr-mul
 smoke:
 	$(PYTHON) scripts/e2e_smoke.py --backend $(SMOKE_BACKEND) --target $(SMOKE_TARGET)
 
+# The tier-1 suite, the gates, the smoke, and the benchmark harness's
+# self-tests (perfbench/: every layer binding resolves). The benchmark
+# itself is `python3 perfbench/run.py`; see BENCHMARK.json.
 verify: test lint sast typecheck smoke
+	$(PYTHON) -m pytest perfbench -q
 
 demo:
 	$(PYTHON) examples/attack_demo.py --n 8 --traces 10000
@@ -103,4 +86,4 @@ figures:
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null || true
 	rm -rf .pytest_cache .benchmarks src/repro.egg-info
-	rm -f BENCH_*.json .sast-cache.json
+	rm -f .sast-cache.json

@@ -15,38 +15,27 @@ import os
 import time
 
 import numpy as np
-from _emit import emit_bench, stage_seconds_from_snapshot
 
 from repro.attack import AttackConfig, full_attack, recover_coefficients
 from repro.leakage import CampaignStore, CaptureCampaign, DeviceModel, get_backend
 from repro.obs import scoped_registry
 
-#: Signings per coefficient — the paper budget by default; ``make
-#: bench-smoke`` shrinks both so CI can afford the run.
-E2E_TRACES = int(os.environ.get("FALCON_BENCH_TRACES", "10000"))
-THROUGHPUT_TRACES = int(os.environ.get("FALCON_BENCH_THROUGHPUT_TRACES", "1500"))
+#: Signings per coefficient for the headline run (the paper budget).
+E2E_TRACES = 10_000
+#: Signings per coefficient for the chunked-vs-one-shot CPA check.
+THROUGHPUT_TRACES = 1_500
 #: Operand batch for the capture-backend microbench; python-ref runs a
 #: 1/50 slice of it (it is the slow path the speedup is measured against).
-BACKEND_VALUES = int(os.environ.get("FALCON_BENCH_BACKEND_VALUES", "200000"))
-#: Signings per target for the per-surface throughput block; every
-#: registered surface runs one campaign of this size.
-SURFACE_TRACES = int(os.environ.get("FALCON_BENCH_SURFACE_TRACES", "800"))
-
-_backend_stats: dict[str, dict[str, float]] = {}
+BACKEND_VALUES = 200_000
 
 
-def _capture_backend_stats() -> dict[str, dict[str, float]]:
-    """traces/s of both step-value engines on one shared operand batch.
+def _capture_backend_stats() -> tuple[float, float]:
+    """traces/s of (numpy-batch, python-ref) on one shared operand batch.
 
-    Measured once per process and cached: the numbers feed both the
-    speedup assertion and the ``capture_backends`` block of
-    ``BENCH_throughput.json``. The python-ref engine only runs a slice
-    of the batch — its per-second rate is what matters, not its wall
-    clock — and that slice doubles as a bit-exactness check against the
-    vectorized results.
+    The python-ref engine only runs a slice of the batch — its
+    per-second rate is what matters, not its wall clock — and that slice
+    doubles as a bit-exactness check against the vectorized results.
     """
-    if _backend_stats:
-        return _backend_stats
     rng = np.random.default_rng(2021)
     y = (rng.standard_normal(BACKEND_VALUES) * 3.0 + 8.0).view(np.uint64)
     x = int(np.float64(-1.2345).view(np.uint64))
@@ -70,49 +59,7 @@ def _capture_backend_stats() -> dict[str, dict[str, float]]:
     t_ref = time.perf_counter() - t0
 
     np.testing.assert_array_equal(fast_vals[:n_ref], ref_vals)
-    _backend_stats["numpy-batch"] = {
-        "n_values": BACKEND_VALUES,
-        "wall_s": round(t_fast, 6),
-        "traces_per_s": BACKEND_VALUES / max(t_fast, 1e-9),
-    }
-    _backend_stats["python-ref"] = {
-        "n_values": n_ref,
-        "wall_s": round(t_ref, 6),
-        "traces_per_s": n_ref / max(t_ref, 1e-9),
-    }
-    return _backend_stats
-
-
-def _surface_stats(sk) -> dict[str, dict[str, float]]:
-    """End-to-end rate of every registered leakage surface.
-
-    One small capture+recover campaign per surface; the per-surface
-    trace-row rates land in the ``targets`` block of
-    ``BENCH_throughput.json``, which the regression gate checks
-    key-by-key (a surface present in both baseline and current run must
-    not slow down past the threshold).
-    """
-    from repro.targets import TARGET_NAMES
-
-    out: dict[str, dict[str, float]] = {}
-    for name in TARGET_NAMES:
-        campaign = CaptureCampaign(
-            sk=sk, n_traces=SURFACE_TRACES, device=DeviceModel(noise_sigma=2.0),
-            seed=2021, target=name,
-        )
-        with scoped_registry() as reg:
-            t0 = time.perf_counter()
-            recs, _ = recover_coefficients(campaign, AttackConfig())
-            wall = time.perf_counter() - t0
-        snap = reg.snapshot()
-        rows = snap.counters.get("cpa.rows_correlated", 0)
-        out[name] = {
-            "n_targets": campaign.n_targets,
-            "recovered_exact": sum(1 for r in recs if r.correct),
-            "wall_s": round(wall, 6),
-            "traces_per_s": rows / max(wall, 1e-9),
-        }
-    return out
+    return BACKEND_VALUES / max(t_fast, 1e-9), n_ref / max(t_ref, 1e-9)
 
 
 def test_e2e_key_recovery_and_forgery(victim, benchmark):
@@ -143,15 +90,6 @@ def test_e2e_key_recovery_and_forgery(victim, benchmark):
     assert 0 < report.n_traces_correlated <= E2E_TRACES * 2 * report.n_coefficients
     assert len(report.records) == report.n_coefficients
     assert all(r.elapsed_seconds > 0 for r in report.records)
-
-    telemetry = report.telemetry
-    emit_bench(
-        "e2e",
-        params={"n": report.n, "n_traces": E2E_TRACES, "mode": "direct"},
-        wall_s=report.elapsed_seconds,
-        per_stage_s=telemetry.per_stage_s,
-        traces_per_s=telemetry.rows_correlated / max(report.elapsed_seconds, 1e-9),
-    )
 
 
 def test_parallel_engine_throughput(victim):
@@ -226,9 +164,7 @@ def test_capture_backend_throughput():
     """numpy-batch vs python-ref on the same operands: bit-exact results
     (checked inside the measurement helper) and a >= 50x rate gain —
     the whole point of vectorizing the capture side."""
-    stats = _capture_backend_stats()
-    fast = stats["numpy-batch"]["traces_per_s"]
-    ref = stats["python-ref"]["traces_per_s"]
+    fast, ref = _capture_backend_stats()
     speedup = fast / ref
     print(
         f"\ncapture backends: numpy-batch {fast:,.0f} traces/s, "
@@ -257,21 +193,4 @@ def test_streaming_cpa_matches_one_shot(victim):
 
     print(f"\nstreaming CPA: one-shot {t_one:.2f}s, chunked(256) {t_chunked:.2f}s")
     assert [r.pattern for r in streamed] == [r.pattern for r in one_shot]
-
-    rows = snap.counters.get("cpa.rows_correlated", 0)
     assert snap.counters.get("cpa.chunks_streamed", 0) > 0
-    emit_bench(
-        "throughput",
-        params={
-            "n": sk.params.n,
-            "n_traces": THROUGHPUT_TRACES,
-            "chunk_rows": 256,
-        },
-        wall_s=t_chunked,
-        per_stage_s=stage_seconds_from_snapshot(snap),
-        traces_per_s=rows / max(t_chunked, 1e-9),
-        extra={
-            "capture_backends": _capture_backend_stats(),
-            "targets": _surface_stats(sk),
-        },
-    )

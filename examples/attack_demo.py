@@ -25,6 +25,7 @@ import time
 from repro.attack import AttackConfig, full_attack
 from repro.falcon import FalconParams, keygen
 from repro.leakage import CaptureCampaign, DeviceModel
+from repro.obs import RunJournal, console_subscriber
 
 
 def main() -> None:
@@ -76,9 +77,9 @@ def main() -> None:
         device=device,
         config=AttackConfig(distinguisher=args.distinguisher),
         message=b"the adversary signs whatever it wants",
-        progress=args.progress,
         store=source,
         session=args.session,
+        journal=RunJournal(subscribers=(console_subscriber,)) if args.progress else None,
     )
 
     print()

@@ -35,7 +35,6 @@ from repro.attack.key_recovery import (
     CoefficientRecord,
     KeyRecoveryResult,
     ProgressEvent,
-    default_progress_printer,
     recover_coefficients,
     recover_f,
     recover_full_key,
@@ -77,7 +76,6 @@ __all__ = [
     "KeyRecoveryResult",
     "CoefficientRecord",
     "ProgressEvent",
-    "default_progress_printer",
     "full_attack",
     "FullAttackReport",
     "build_templates",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import dataclasses
 import pickle
-import sys
 import time
 import weakref
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
@@ -33,7 +32,6 @@ from repro.falcon.sign import Signature, sign
 from repro.leakage.capture import doubles_to_fft
 from repro.math import fft, ntt
 from repro.obs import metrics, spans
-from repro.obs.journal import format_progress, progress_event_to_payload
 from repro.obs.metrics import MetricsSnapshot
 from repro.obs.spans import span
 from repro.targets import DEFAULT_TARGET, get_target
@@ -116,20 +114,6 @@ class ProgressEvent:
 
 
 ProgressCallback = Callable[[ProgressEvent], None]
-
-
-def default_progress_printer(event: ProgressEvent) -> None:
-    """The stock console renderer for :class:`ProgressEvent` streams.
-
-    Writes to *stderr*: progress is operator chatter, and interleaving it
-    into stdout corrupted machine-readable output (``repro attack ... |
-    jq`` and redirected reports alike). The rendering itself is shared
-    with :func:`repro.obs.journal.console_subscriber`, so a journal-fed
-    console and this direct callback produce identical lines.
-    """
-    line = format_progress(progress_event_to_payload(event))
-    if line:
-        print(line, file=sys.stderr, flush=True)
 
 
 @dataclass
@@ -633,7 +617,6 @@ def recover_full_key(
     campaign,
     pk: PublicKey,
     config: AttackConfig | None = None,
-    progress: bool = False,
     progress_callback: ProgressCallback | None = None,
     n_workers: int | None = None,
     session=None,
@@ -653,28 +636,25 @@ def recover_full_key(
     ``config.n_workers`` (see :func:`recover_coefficients`; results are
     bit-identical either way). ``session`` makes the per-coefficient
     phase resumable across interrupted runs. ``progress_callback``
-    receives structured :class:`ProgressEvent` notifications;
-    ``progress=True`` without a callback installs the stock console
-    printer. On failure the raised :class:`KeyRecoveryError` carries
-    the per-coefficient evidence. ``journal`` receives the structured
-    event stream (see :func:`recover_coefficients`).
+    receives structured :class:`ProgressEvent` notifications. On
+    failure the raised :class:`KeyRecoveryError` carries the
+    per-coefficient evidence. ``journal`` receives the structured event
+    stream (see :func:`recover_coefficients`); console progress is a
+    :func:`~repro.obs.journal.console_subscriber` on that journal.
     """
     cfg = config or AttackConfig()
     if n_workers is not None:
         cfg = dataclasses.replace(cfg, n_workers=n_workers)
-    callback = progress_callback
-    if callback is None and progress:
-        callback = default_progress_printer
 
     def _notify(event: ProgressEvent) -> None:
         if journal is not None:
             journal.emit_progress(event)
-        if callback is not None:
-            callback(event)
+        if progress_callback is not None:
+            progress_callback(event)
 
     with span("coefficients"):
         recs, records = recover_coefficients(
-            campaign, cfg, progress_callback=callback, session=session,
+            campaign, cfg, progress_callback=progress_callback, session=session,
             journal=journal,
         )
     surface = get_target(getattr(campaign, "target", DEFAULT_TARGET))

@@ -195,7 +195,6 @@ def full_attack(
     seed: int = 2021,
     backend: str = "numpy-batch",
     target: str = DEFAULT_TARGET,
-    progress: bool = False,
     progress_callback: ProgressCallback | None = None,
     n_workers: int | None = None,
     value_transform=None,
@@ -277,9 +276,8 @@ def full_attack(
             local_session = AttackSession(local_session)
         try:
             result = recover_full_key(
-                source, pk, config=cfg, progress=progress,
-                progress_callback=progress_callback, session=local_session,
-                journal=journal,
+                source, pk, config=cfg, progress_callback=progress_callback,
+                session=local_session, journal=journal,
             )
         except KeyRecoveryError as exc:  # failed recovery is an outcome, not a crash
             partial = KeyRecoveryResult(

@@ -28,7 +28,6 @@ from repro.leakage.traceset import TraceSet
 from repro.leakage.capture import CaptureCampaign, CaptureConfig, capture_coefficient
 from repro.leakage.store import CampaignStore, StoreError, TraceSource
 from repro.leakage.trs import read_trs, write_trs, traceset_to_trs, trs_to_traceset
-from repro.leakage.fpc import fpc_step_values, synthesize_fpc_traces, FpcLayout
 
 __all__ = [
     "HammingWeightModel",
@@ -55,7 +54,4 @@ __all__ = [
     "write_trs",
     "traceset_to_trs",
     "trs_to_traceset",
-    "fpc_step_values",
-    "synthesize_fpc_traces",
-    "FpcLayout",
 ]

@@ -3,10 +3,10 @@
 Three zero-dependency pieces, designed to survive the engine's
 ``ProcessPoolExecutor`` fan-out:
 
-* :mod:`repro.obs.metrics` — counters / gauges / histograms with
-  mergeable :class:`MetricsSnapshot`\\ s; each worker accumulates into a
-  scoped registry and the parent merges, so parallel totals equal
-  serial totals.
+* :mod:`repro.obs.metrics` — counters with mergeable
+  :class:`MetricsSnapshot`\\ s; each worker accumulates into a scoped
+  registry and the parent merges, so parallel totals equal serial
+  totals.
 * :mod:`repro.obs.spans` — :func:`span` timing context manager building
   the hierarchical stage tree (capture → extend / prune / sign /
   exponent → repair → rebuild → forge).
@@ -25,7 +25,6 @@ from repro.obs.journal import (
     read_journal,
 )
 from repro.obs.metrics import (
-    HistogramSummary,
     MetricsRegistry,
     MetricsSnapshot,
     current_registry,
@@ -34,7 +33,6 @@ from repro.obs.metrics import (
 from repro.obs.spans import Span, attach, collect_spans, detached, span
 
 __all__ = [
-    "HistogramSummary",
     "MetricsRegistry",
     "MetricsSnapshot",
     "current_registry",

@@ -135,7 +135,14 @@ class RunJournal:
         subscribers: tuple[Callable[[dict[str, Any]], None], ...] = (),
     ) -> None:
         self.path = path
-        self._fh = open(path, "a") if path else None
+        self._fh: TextIO | None = None
+        if path:
+            self._fh = open(path, "a")
+            if not _ends_with_newline(path):
+                # a crashed run left a torn last line; start this run's
+                # events on a fresh line so read_journal keeps them
+                self._fh.write("\n")
+                self._fh.flush()
         self._subscribers: list[Callable[[dict[str, Any]], None]] = list(subscribers)
         self._seq = 0
 
@@ -183,20 +190,40 @@ class RunJournal:
         return f"RunJournal(path={self.path!r}, events={self._seq})"
 
 
+def _ends_with_newline(path: str) -> bool:
+    """True for an empty file or one whose last byte is a newline."""
+    with open(path, "rb") as fh:
+        if fh.seek(0, 2) == 0:
+            return True
+        fh.seek(-1, 2)
+        return fh.read(1) == b"\n"
+
+
 def read_journal(path: str) -> list[dict[str, Any]]:
     """Parse a JSONL journal back into event dicts (in emission order).
 
-    A torn final line (crash mid-write) is tolerated and dropped — every
-    complete line is a complete JSON object by construction.
+    A torn final line (crash mid-write) is tolerated and dropped, both at
+    the end of the file and where a later :class:`RunJournal` appended a
+    new run after it (the next event has ``seq`` 0). Every complete line
+    is a complete JSON object by construction, so an undecodable line
+    anywhere else is corruption and raises :class:`json.JSONDecodeError`.
     """
     events: list[dict[str, Any]] = []
+    torn: json.JSONDecodeError | None = None
     with open(path) as fh:
         for line in fh:
             line = line.strip()
             if not line:
                 continue
             try:
-                events.append(json.loads(line))
-            except json.JSONDecodeError:
+                event = json.loads(line)
+            except json.JSONDecodeError as exc:
+                if torn is not None:
+                    raise torn
+                torn = exc
                 continue
+            if torn is not None and event.get("seq") != 0:
+                raise torn
+            torn = None
+            events.append(event)
     return events

@@ -1,4 +1,4 @@
-"""Process-wide metrics: counters, gauges, histograms — mergeable snapshots.
+"""Process-wide metrics: counters in mergeable snapshots.
 
 A Section-IV campaign fans per-coefficient attacks out over a
 :class:`~concurrent.futures.ProcessPoolExecutor`, so a single in-process
@@ -7,8 +7,8 @@ its own registry and the parent merges the returned snapshots. The
 design here makes that the *only* model — every unit of work (one
 per-coefficient attack, one full campaign) runs inside
 :func:`scoped_registry`, the instrumented code writes through the
-module-level :func:`inc`/:func:`set_gauge`/:func:`observe` helpers into
-whatever registry is innermost, and the finished scope's
+module-level :func:`inc` helper into whatever registry is innermost,
+and the finished scope's
 :class:`MetricsSnapshot` is merged into the enclosing registry by
 whoever launched it (same-process caller or pool parent — the merged
 totals are identical either way, which is what the cross-process
@@ -16,75 +16,22 @@ equivalence test pins down).
 
 Snapshots are plain dataclasses of dicts: picklable (workers return
 them), JSON-able (the :class:`~repro.obs.journal.RunJournal` emits
-them), and additive (counters sum, histogram moments combine, gauges
-take the most recent write).
+them), and additive (counters sum).
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
 __all__ = [
-    "HistogramSummary",
     "MetricsSnapshot",
     "MetricsRegistry",
     "current_registry",
     "scoped_registry",
     "inc",
-    "set_gauge",
-    "observe",
 ]
-
-
-@dataclass
-class HistogramSummary:
-    """Streaming summary of one observed distribution (no raw samples)."""
-
-    count: int = 0
-    total: float = 0.0
-    min: float = math.inf
-    max: float = -math.inf
-
-    def observe(self, value: float) -> None:
-        value = float(value)
-        self.count += 1
-        self.total += value
-        self.min = min(self.min, value)
-        self.max = max(self.max, value)
-
-    def merge(self, other: "HistogramSummary") -> "HistogramSummary":
-        self.count += other.count
-        self.total += other.total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
-        return self
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min if self.count else None,
-            "max": self.max if self.count else None,
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj: dict[str, Any]) -> "HistogramSummary":
-        return cls(
-            count=int(obj["count"]),
-            total=float(obj["total"]),
-            min=math.inf if obj.get("min") is None else float(obj["min"]),
-            max=-math.inf if obj.get("max") is None else float(obj["max"]),
-        )
-
-    def copy(self) -> "HistogramSummary":
-        return HistogramSummary(self.count, self.total, self.min, self.max)
 
 
 @dataclass
@@ -92,43 +39,28 @@ class MetricsSnapshot:
     """A frozen view of one registry — additive across workers.
 
     ``merge`` mutates and returns ``self`` so parents can fold a stream
-    of per-worker snapshots in without intermediate copies; counters and
-    histograms are disjoint-partition additive, gauges are last-write
-    (the merged-in snapshot wins, matching "most recent observation").
+    of per-worker snapshots in without intermediate copies; counters are
+    disjoint-partition additive.
     """
 
     counters: dict[str, float] = field(default_factory=dict)
-    gauges: dict[str, float] = field(default_factory=dict)
-    histograms: dict[str, HistogramSummary] = field(default_factory=dict)
 
     def merge(self, other: "MetricsSnapshot") -> "MetricsSnapshot":
         for name, value in other.counters.items():
             self.counters[name] = self.counters.get(name, 0) + value
-        self.gauges.update(other.gauges)
-        for name, hist in other.histograms.items():
-            if name in self.histograms:
-                self.histograms[name].merge(hist)
-            else:
-                self.histograms[name] = hist.copy()
         return self
 
     def to_jsonable(self) -> dict[str, Any]:
-        return {
-            "counters": dict(self.counters),
-            "gauges": dict(self.gauges),
-            "histograms": {k: h.to_jsonable() for k, h in self.histograms.items()},
-        }
+        return {"counters": dict(self.counters)}
 
     @classmethod
     def from_jsonable(cls, obj: dict[str, Any]) -> "MetricsSnapshot":
-        return cls(
-            counters={k: v for k, v in obj.get("counters", {}).items()},
-            gauges={k: v for k, v in obj.get("gauges", {}).items()},
-            histograms={
-                k: HistogramSummary.from_jsonable(h)
-                for k, h in obj.get("histograms", {}).items()
-            },
-        )
+        """Load a snapshot; keys other than ``counters`` are ignored.
+
+        Older journals also carry ``gauges``/``histograms`` keys; such
+        a payload loads as its counters alone.
+        """
+        return cls(counters=dict(obj.get("counters", {})))
 
 
 class MetricsRegistry:
@@ -136,53 +68,26 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._counters: dict[str, float] = {}
-        self._gauges: dict[str, float] = {}
-        self._histograms: dict[str, HistogramSummary] = {}
 
     def inc(self, name: str, value: float = 1) -> None:
         self._counters[name] = self._counters.get(name, 0) + value
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self._gauges[name] = float(value)
-
-    def observe(self, name: str, value: float) -> None:
-        hist = self._histograms.get(name)
-        if hist is None:
-            hist = self._histograms[name] = HistogramSummary()
-        hist.observe(value)
 
     def counter(self, name: str) -> float:
         return self._counters.get(name, 0)
 
     def snapshot(self) -> MetricsSnapshot:
-        return MetricsSnapshot(
-            counters=dict(self._counters),
-            gauges=dict(self._gauges),
-            histograms={k: h.copy() for k, h in self._histograms.items()},
-        )
+        return MetricsSnapshot(counters=dict(self._counters))
 
     def merge_snapshot(self, snap: MetricsSnapshot) -> None:
         """Fold a finished scope's (or worker's) snapshot into this registry."""
         for name, value in snap.counters.items():
             self.inc(name, value)
-        for name, value in snap.gauges.items():
-            self.set_gauge(name, value)
-        for name, hist in snap.histograms.items():
-            if name in self._histograms:
-                self._histograms[name].merge(hist)
-            else:
-                self._histograms[name] = hist.copy()
 
     def reset(self) -> None:
         self._counters.clear()
-        self._gauges.clear()
-        self._histograms.clear()
 
     def __repr__(self) -> str:
-        return (
-            f"MetricsRegistry(counters={len(self._counters)}, "
-            f"gauges={len(self._gauges)}, histograms={len(self._histograms)})"
-        )
+        return f"MetricsRegistry(counters={len(self._counters)})"
 
 
 # The innermost registry receives every write; the bottom entry is the
@@ -221,11 +126,3 @@ def _reset_state() -> None:
 
 def inc(name: str, value: float = 1) -> None:
     _STACK[-1].inc(name, value)
-
-
-def set_gauge(name: str, value: float) -> None:
-    _STACK[-1].set_gauge(name, value)
-
-
-def observe(name: str, value: float) -> None:
-    _STACK[-1].observe(name, value)

@@ -4,10 +4,7 @@
 children, so one per-coefficient attack reconstructs the full stage
 tree of the paper's pipeline — capture → extend / prune / sign /
 exponent → (globally) repair → NTRU rebuild → forgery — with measured
-seconds at every node. Each closed span also feeds a
-``stage_seconds.<name>`` histogram into the current metrics registry,
-so aggregate per-stage cost is available even when nobody keeps the
-trees.
+seconds at every node.
 
 Workers run each target inside :func:`detached` so their span tree is
 always rooted at the target (never silently grafted onto whatever the
@@ -23,8 +20,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Iterator
-
-from repro.obs import metrics
 
 __all__ = ["Span", "span", "collect_spans", "detached", "attach"]
 
@@ -104,10 +99,8 @@ def span(name: str, **attrs: Any) -> Iterator[Span]:  # sast: declassify(rules=C
     """Time a region; nests under any currently open span.
 
     The yielded :class:`Span` can be annotated further (``s.attrs``)
-    while open. On close the duration is final, a
-    ``stage_seconds.<name>`` observation lands in the current metrics
-    registry, and — if the span was a root — it is delivered to every
-    active :func:`collect_spans` list.
+    while open. On close the duration is final and — if the span was a
+    root — it is delivered to every active :func:`collect_spans` list.
     """
     s = Span(name=name, started_at=time.time(), attrs=dict(attrs))
     parent = _STATE.open[-1] if _STATE.open else None
@@ -120,7 +113,6 @@ def span(name: str, **attrs: Any) -> Iterator[Span]:  # sast: declassify(rules=C
     finally:
         s.duration_s = time.perf_counter() - t0
         _STATE.open.pop()
-        metrics.observe(f"stage_seconds.{name}", s.duration_s)
         if parent is None:
             for collector in _STATE.collectors:
                 collector.append(s)

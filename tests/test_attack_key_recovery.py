@@ -152,19 +152,28 @@ class TestParallelEngine:
 
     def test_parallel_bit_identical_to_serial(self, campaign):
         from repro.attack import AttackConfig, recover_coefficients
+        from repro.obs import scoped_registry
 
         serial, s_records = recover_coefficients(campaign, AttackConfig(n_workers=1))
-        par, p_records = recover_coefficients(campaign, AttackConfig(n_workers=2))
-        assert [r.pattern for r in par] == [r.pattern for r in serial]
-        assert [r.sign.bit for r in par] == [r.sign.bit for r in serial]
-        assert [r.exponent.biased_exponent for r in par] == [
-            r.exponent.biased_exponent for r in serial
-        ]
-        # observability rides along, in target order, on both paths
         assert [r.target_index for r in s_records] == list(range(8))
-        assert [r.target_index for r in p_records] == list(range(8))
-        assert [r.n_traces_kept for r in p_records] == [r.n_traces_kept for r in s_records]
-        assert all(r.elapsed_seconds > 0 for r in p_records)
+        # the parallel fan-out and the chunked (streaming) Pearson path
+        # must both reproduce the serial one-shot run exactly
+        for config in (AttackConfig(n_workers=2), AttackConfig(chunk_rows=256)):
+            with scoped_registry() as reg:
+                par, p_records = recover_coefficients(campaign, config)
+            # only the chunked config streams (worker counts merge back)
+            assert (reg.counter("cpa.chunks_streamed") > 0) == (config.chunk_rows is not None)
+            assert [r.pattern for r in par] == [r.pattern for r in serial]
+            assert [r.sign.bit for r in par] == [r.sign.bit for r in serial]
+            assert [r.exponent.biased_exponent for r in par] == [
+                r.exponent.biased_exponent for r in serial
+            ]
+            # observability rides along, in target order, on every path
+            assert [r.target_index for r in p_records] == list(range(8))
+            assert [r.n_traces_kept for r in p_records] == [
+                r.n_traces_kept for r in s_records
+            ]
+            assert all(r.elapsed_seconds > 0 for r in p_records)
 
     def test_progress_events_fire_per_coefficient(self, campaign):
         from repro.attack import AttackConfig, recover_coefficients

@@ -1,4 +1,4 @@
-"""Tests for the instrumented multiplication (the attack target)."""
+"""Tests for the instrumented multiplication (the attack target) and addition."""
 
 import struct
 
@@ -8,10 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from repro.fpr import emu
 from repro.fpr.trace import (
+    ADD_STEP_LABELS,
     EXP_REBIAS,
     LOW_BITS,
     MUL_STEP_LABELS,
     MUL_STEP_WIDTHS,
+    fpr_add_trace,
     fpr_mul_trace,
     mul_limbs,
 )
@@ -149,3 +151,36 @@ class TestVectorizedConsistency:
         for d in range(300):
             t = fpr_mul_trace(int(xp[d]), int(yp[d]))
             assert [int(v) for v in vals[d]] == t.values
+
+
+class TestFprAddTrace:
+    def test_result_matches_emu(self):
+        for x, y in ((1.5, 2.25), (-3.7, 1.1), (1e10, -1e-3), (2.0, -1.999)):
+            t = fpr_add_trace(bits(x), bits(y))
+            assert t.result == emu.fpr_add(bits(x), bits(y))
+
+    def test_labels(self):
+        t = fpr_add_trace(bits(1.0), bits(2.0))
+        assert t.labels == list(ADD_STEP_LABELS)
+
+    def test_alignment_semantics(self):
+        t = fpr_add_trace(bits(8.0), bits(1.0))  # exponents differ by 3
+        assert t.value("exp_diff") == 3
+        assert t.value("mant_aligned") == (1 << 52) >> 3
+        assert t.value("mant_sum") == (1 << 52) + ((1 << 52) >> 3)
+
+    def test_subtraction_path(self):
+        t = fpr_add_trace(bits(3.0), bits(-2.0))
+        big = (3 << 51)  # significand of 3.0 = 1.5 * 2^1
+        assert t.value("mant_big") == big
+        assert t.value("mant_sum") == big - (1 << 52)
+        assert t.value("add_sign_out") == 0
+
+    def test_zero_short_circuits(self):
+        t = fpr_add_trace(bits(0.0), bits(5.0))
+        assert t.labels == ["add_result"]
+
+    def test_value_lookup_error(self):
+        t = fpr_add_trace(bits(1.0), bits(1.0))
+        with pytest.raises(KeyError):
+            t.value("bogus")

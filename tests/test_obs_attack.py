@@ -11,11 +11,11 @@ import sys
 
 import pytest
 
-from repro.attack.key_recovery import CoefficientRecord, ProgressEvent, default_progress_printer
+from repro.attack.key_recovery import CoefficientRecord, ProgressEvent
 from repro.attack.pipeline import full_attack
 from repro.falcon import FalconParams, keygen
 from repro.leakage.device import DeviceModel
-from repro.obs import RunJournal, read_journal
+from repro.obs import RunJournal, console_subscriber, read_journal
 from repro.obs import metrics as metrics_mod
 from repro.obs import spans as spans_mod
 
@@ -129,6 +129,12 @@ class TestAttackTelemetry:
 
 
 class TestProgressPrinter:
+    """Console progress: ProgressEvents rendered by ``console_subscriber``
+    on a journal, the path ``repro-falcon attack --progress`` takes."""
+
+    def _print(self, event):
+        RunJournal(subscribers=(console_subscriber,)).emit_progress(event)
+
     def _event(self):
         return ProgressEvent(
             "coefficient", 1, 8,
@@ -143,24 +149,24 @@ class TestProgressPrinter:
         )
 
     def test_writes_to_stderr_not_stdout(self, capsys):
-        default_progress_printer(self._event())
+        self._print(self._event())
         out, err = capsys.readouterr()
         assert out == ""  # stdout stays machine-readable
         assert "coefficient    4" in err
         assert "traces=881" in err
 
     def test_message_only_events(self, capsys):
-        default_progress_printer(ProgressEvent("rebuild", 0, 1, message="solving"))
+        self._print(ProgressEvent("rebuild", 0, 1, message="solving"))
         out, err = capsys.readouterr()
         assert out == ""
         assert "rebuild: solving" in err
 
     def test_silent_on_empty_event(self, capsys):
-        default_progress_printer(ProgressEvent("coefficient", 1, 8))
+        self._print(ProgressEvent("coefficient", 1, 8))
         out, err = capsys.readouterr()
         assert out == "" and err == ""
 
     def test_printer_runs_without_tty(self, monkeypatch, capsys):
         monkeypatch.setattr(sys.stderr, "isatty", lambda: False, raising=False)
-        default_progress_printer(self._event())
+        self._print(self._event())
         assert "coefficient" in capsys.readouterr().err
