@@ -62,12 +62,11 @@ typecheck:
 # 2-worker fan-out, a materialized campaign store, and a checkpointed
 # session resume (scripts/e2e_smoke.py). Catches pickling, per-target
 # seeding, shard layout, and fingerprint regressions in one run.
-# SMOKE_BACKEND selects the capture step-value engine and SMOKE_TARGET
-# the leakage surface; CI fans the smoke over both matrices.
-SMOKE_BACKEND ?= numpy-batch
+# SMOKE_TARGET selects the leakage surface; CI fans the smoke over
+# every registered surface.
 SMOKE_TARGET ?= fpr-mul
 smoke:
-	$(PYTHON) scripts/e2e_smoke.py --backend $(SMOKE_BACKEND) --target $(SMOKE_TARGET)
+	$(PYTHON) scripts/e2e_smoke.py --target $(SMOKE_TARGET)
 
 # The tier-1 suite, the gates, the smoke, and the benchmark harness's
 # self-tests (perfbench/: every layer binding resolves). The benchmark

@@ -17,49 +17,56 @@ import time
 import numpy as np
 
 from repro.attack import AttackConfig, full_attack, recover_coefficients
-from repro.leakage import CampaignStore, CaptureCampaign, DeviceModel, get_backend
+from repro.fpr.trace import fpr_mul_trace
+from repro.leakage import CampaignStore, CaptureCampaign, DeviceModel
+from repro.leakage.steps import step_values
 from repro.obs import scoped_registry
 
 #: Signings per coefficient for the headline run (the paper budget).
 E2E_TRACES = 10_000
 #: Signings per coefficient for the chunked-vs-one-shot CPA check.
 THROUGHPUT_TRACES = 1_500
-#: Operand batch for the capture-backend microbench; python-ref runs a
-#: 1/50 slice of it (it is the slow path the speedup is measured against).
-BACKEND_VALUES = 200_000
+#: Operand batch for the step-engine microbench; the fpr_mul_trace
+#: reference loop runs a 1/50 slice of it (the slow path the speedup is
+#: measured against).
+STEP_VALUES = 200_000
 
 
-def _capture_backend_stats() -> tuple[float, float]:
-    """traces/s of (numpy-batch, python-ref) on one shared operand batch.
+def _reference_loop(x: int, y: np.ndarray) -> np.ndarray:
+    return np.array([fpr_mul_trace(x, int(v)).values for v in y], dtype=np.uint64)
 
-    The python-ref engine only runs a slice of the batch — its
-    per-second rate is what matters, not its wall clock — and that slice
-    doubles as a bit-exactness check against the vectorized results.
+
+def _step_engine_stats() -> tuple[float, float]:
+    """traces/s of (step_values, fpr_mul_trace loop) on one operand batch.
+
+    The reference loop only runs a slice of the batch — its per-second
+    rate is what matters, not its wall clock — and that slice doubles as
+    a bit-exactness check against the vectorized results.
     """
     rng = np.random.default_rng(2021)
-    y = (rng.standard_normal(BACKEND_VALUES) * 3.0 + 8.0).view(np.uint64)
+    y = (rng.standard_normal(STEP_VALUES) * 3.0 + 8.0).view(np.uint64)
     x = int(np.float64(-1.2345).view(np.uint64))
 
-    # steady-state rates: one small warm-up call per engine pays the
+    # steady-state rates: one small warm-up call per path pays the
     # import/allocator cold start outside the measured window
-    get_backend("numpy-batch").step_values(x, y[:512])
-    get_backend("python-ref").step_values(x, y[:64])
+    step_values(x, y[:512])
+    _reference_loop(x, y[:64])
 
     # best-of-3 for the vectorized engine: a full-size block costs ~10ms,
     # and the first call's page faults would otherwise dominate the rate
     t_fast = float("inf")
     for _ in range(3):
         t0 = time.perf_counter()
-        fast_vals = get_backend("numpy-batch").step_values(x, y)
+        fast_vals = step_values(x, y)
         t_fast = min(t_fast, time.perf_counter() - t0)
 
-    n_ref = max(1, BACKEND_VALUES // 50)
+    n_ref = max(1, STEP_VALUES // 50)
     t0 = time.perf_counter()
-    ref_vals = get_backend("python-ref").step_values(x, y[:n_ref])
+    ref_vals = _reference_loop(x, y[:n_ref])
     t_ref = time.perf_counter() - t0
 
     np.testing.assert_array_equal(fast_vals[:n_ref], ref_vals)
-    return BACKEND_VALUES / max(t_fast, 1e-9), n_ref / max(t_ref, 1e-9)
+    return STEP_VALUES / max(t_fast, 1e-9), n_ref / max(t_ref, 1e-9)
 
 
 def test_e2e_key_recovery_and_forgery(victim, benchmark):
@@ -160,17 +167,17 @@ def test_store_backed_attack_cost_split(victim, tmp_path):
     assert CampaignStore(store.path).n_targets == campaign.n_targets
 
 
-def test_capture_backend_throughput():
-    """numpy-batch vs python-ref on the same operands: bit-exact results
-    (checked inside the measurement helper) and a >= 50x rate gain —
-    the whole point of vectorizing the capture side."""
-    fast, ref = _capture_backend_stats()
+def test_step_engine_throughput():
+    """step_values vs the fpr_mul_trace loop on the same operands:
+    bit-exact results (checked inside the measurement helper) and a
+    >= 50x rate gain — the whole point of vectorizing the capture side."""
+    fast, ref = _step_engine_stats()
     speedup = fast / ref
     print(
-        f"\ncapture backends: numpy-batch {fast:,.0f} traces/s, "
-        f"python-ref {ref:,.0f} traces/s ({speedup:.0f}x)"
+        f"\nstep values: engine {fast:,.0f} traces/s, "
+        f"fpr_mul_trace loop {ref:,.0f} traces/s ({speedup:.0f}x)"
     )
-    assert speedup >= 50.0, f"expected >= 50x over python-ref, got {speedup:.1f}x"
+    assert speedup >= 50.0, f"expected >= 50x over the reference loop, got {speedup:.1f}x"
 
 
 def test_streaming_cpa_matches_one_shot(victim):

@@ -38,11 +38,10 @@ def test_fpr_mul_trace_throughput(benchmark):
     """Instrumented multiplies per second (the capture bottleneck)."""
     import numpy as np
 
-    from repro.leakage.backend import DEFAULT_BACKEND, get_backend
+    from repro.leakage.steps import step_values
 
     rng = np.random.default_rng(0)
     y = (rng.standard_normal(10_000) * 50 + 100).view(np.uint64)
     x = int(np.float64(123.456).view(np.uint64))
-    step_values = get_backend(DEFAULT_BACKEND).step_values
     vals = benchmark(lambda: step_values(x, y))
     assert vals.shape[0] == 10_000

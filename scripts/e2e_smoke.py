@@ -2,11 +2,10 @@
 """End-to-end smoke of the moving parts the unit tests mock.
 
 One run exercises the 2-worker fan-out, a materialized campaign store,
-and a checkpointed session resume for a single (backend, target) pair —
+and a checkpointed session resume for a single leakage surface —
 catching pickling, per-target seeding, shard layout, and fingerprint
-regressions in one pass. CI fans this script over the capture-backend
-and leakage-surface matrices (``make smoke SMOKE_BACKEND=...
-SMOKE_TARGET=...``).
+regressions in one pass. CI fans this script over the registered
+surfaces (``make smoke SMOKE_TARGET=...``).
 
 The success criterion is surface-dependent: ``fpr-mul`` must rebuild the
 signing key and forge a verifying signature; transcript surfaces like
@@ -31,8 +30,6 @@ def _fingerprint(result) -> list:
 
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--backend", default="numpy-batch",
-                    help="capture step-value engine")
     ap.add_argument("--target", default="fpr-mul",
                     help="leakage surface to smoke end to end")
     ap.add_argument("--traces", type=int, default=None,
@@ -55,7 +52,7 @@ def main(argv: list[str] | None = None) -> int:
         sk, pk = keygen(FalconParams.get(8), seed=b"verify")
         kwargs = dict(
             n_traces=n_traces, n_workers=2, message=b"verify smoke",
-            backend=args.backend, target=args.target, session=sess,
+            target=args.target, session=sess,
         )
         r = full_attack(sk, pk, store=store, **kwargs)
         print(r.summary())

@@ -51,8 +51,8 @@ def describe_store(store) -> str:
         f"{store.n_traces} requested signings each (mode={store.mode}, seed={store.seed})",
         f"  device: gain={dev.gain} offset={dev.offset} noise_sigma={dev.noise_sigma} "
         f"samples_per_step={dev.samples_per_step} jitter={dev.jitter} seed={dev.seed:#x}",
-        # legacy manifests predate both fields; the store properties default
-        f"  capture: backend={store.backend} target={store.target}",
+        # legacy manifests predate the field; the store property defaults
+        f"  capture: target={store.target}",
         f"  shards: {complete}/{store.n_targets} complete"
         + (f", {skipped} skipped (non-normal secret doubles)" if skipped else ""),
     ]

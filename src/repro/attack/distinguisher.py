@@ -403,8 +403,8 @@ def _run_profiling(dist, source, config, labels):  # sast: declassify(reason=pro
     from repro.falcon.keygen import keygen
     from repro.falcon.params import FalconParams
     from repro.fpr.trace import MUL_STEP_LABELS
-    from repro.leakage.backend import DEFAULT_BACKEND, get_backend
     from repro.leakage.capture import CaptureCampaign
+    from repro.leakage.steps import step_values
     from repro.utils.bits import hamming_weight_array
 
     cfg = config or AttackConfig()
@@ -432,7 +432,7 @@ def _run_profiling(dist, source, config, labels):  # sast: declassify(reason=pro
             continue  # non-normal profiling double: leaks nothing, skip
         profiled += 1
         for seg in ts.segments:
-            values = get_backend(DEFAULT_BACKEND).step_values(ts.true_secret, seg.known_y)
+            values = step_values(ts.true_secret, seg.known_y)
             for lb in labels:
                 col = MUL_STEP_LABELS.index(lb)
                 per_label_rows[lb].append(seg.traces[:, ts.layout.slice_of(lb)])

@@ -5,6 +5,10 @@ predicted HW of one architectural intermediate of the instrumented
 multiply (:mod:`repro.fpr.trace`), for each of D traces (rows, known
 operand varies) and G guesses (columns, secret candidate varies).
 
+The intermediates come from the same stage functions the capture uses
+(:mod:`repro.leakage.steps`), evaluated on (b, 1) guess columns against
+(1, D) known-operand rows.
+
 Each predictor runs guess-major on cache-sized blocks of guesses
 (:func:`repro.utils.stats.guess_block`) against all D known operands,
 and its popcount goes straight into a (G, D) uint8 buffer; the returned
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fpr.trace import EXP_REBIAS, LOW_BITS
+from repro.leakage import steps
 from repro.utils.stats import guess_block
 
 __all__ = [
@@ -33,26 +37,19 @@ __all__ = [
 ]
 
 _U = np.uint64
-_MASK25 = _U((1 << LOW_BITS) - 1)
-_MANT_MASK = _U((1 << 52) - 1)
-_IMPLICIT = _U(1 << 52)
 
 
 def known_limbs(y_patterns: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(B, A): low-25 and high-28 significand limbs of the known operand."""
-    y = np.asarray(y_patterns, dtype=np.uint64)
-    my = (y & _MANT_MASK) | _IMPLICIT
-    return my & _MASK25, my >> _U(LOW_BITS)
+    return steps.limbs(steps.significand(np.asarray(y_patterns, dtype=np.uint64)))
 
 
 def known_exponent(y_patterns: np.ndarray) -> np.ndarray:
-    y = np.asarray(y_patterns, dtype=np.uint64)
-    return (y >> _U(52)) & _U(0x7FF)
+    return steps.exponent(np.asarray(y_patterns, dtype=np.uint64))
 
 
 def known_sign(y_patterns: np.ndarray) -> np.ndarray:
-    y = np.asarray(y_patterns, dtype=np.uint64)
-    return y >> _U(63)
+    return steps.sign(np.asarray(y_patterns, dtype=np.uint64))
 
 
 def _hw_matrix(guesses: np.ndarray, fn, *known: np.ndarray) -> np.ndarray:
@@ -82,14 +79,9 @@ def hyp_product(known_limb: np.ndarray, guesses: np.ndarray, mask_bits: int | No
     return _hw_matrix(guesses, lambda k, g: k * g, known_limb)
 
 
-def _s_lo(b: np.ndarray, a: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """s_lo = (D*B >> 25) + D*A for known limbs (B, A) and low limb(s) D."""
-    return ((d * b) >> _U(LOW_BITS)) + d * a
-
-
 def hyp_s_lo(y_lo: np.ndarray, y_hi: np.ndarray, d_candidates: np.ndarray) -> np.ndarray:
     """HW of s_lo = (D*B >> 25) + D*A — the prune target for the low limb."""
-    return _hw_matrix(d_candidates, _s_lo, y_lo, y_hi)
+    return _hw_matrix(d_candidates, lambda b, a, d: steps.s_lo(d, b, a), y_lo, y_hi)
 
 
 def hyp_s_mid(
@@ -97,7 +89,9 @@ def hyp_s_mid(
 ) -> np.ndarray:
     """HW of s_mid = s_lo + C*B, with the low limb D already recovered."""
     b, a = (np.asarray(k, dtype=np.uint64) for k in (y_lo, y_hi))
-    return _hw_matrix(c_candidates, lambda s, b, c: s + c * b, _s_lo(b, a, _U(d_low)), b)
+    return _hw_matrix(
+        c_candidates, lambda s, b, c: steps.s_mid(s, c, b), steps.s_lo(_U(d_low), b, a), b
+    )
 
 
 def hyp_s_hi(
@@ -106,8 +100,8 @@ def hyp_s_hi(
     """HW of s_hi = (s_mid >> 25) + C*A (the full product's top bits)."""
     b, a = (np.asarray(k, dtype=np.uint64) for k in (y_lo, y_hi))
     return _hw_matrix(
-        c_candidates, lambda s, b, a, c: ((s + c * b) >> _U(LOW_BITS)) + c * a,
-        _s_lo(b, a, _U(d_low)), b, a,
+        c_candidates, lambda s, b, a, c: steps.s_hi(s, c, b, a),
+        steps.s_lo(_U(d_low), b, a), b, a,
     )
 
 
@@ -124,33 +118,25 @@ def hyp_exp_biased(y_patterns: np.ndarray, guesses: np.ndarray) -> np.ndarray:
     profiles of two guesses are generally not offset by a constant, so
     this intermediate disambiguates the tie classes of ``hyp_exp_sum``.
     """
-    rebias = _U(EXP_REBIAS)
-    m32 = _U(0xFFFFFFFF)
     return _hw_matrix(
-        guesses, lambda k, g: (k + g - rebias) & m32, known_exponent(y_patterns)
+        guesses, lambda k, g: steps.exp_biased(g, k), known_exponent(y_patterns)
     )
 
 
 def hyp_exp_out(y_patterns: np.ndarray, guesses: np.ndarray, significand: int) -> np.ndarray:  # sast: declassify(reason=hypothesis engine enumerates candidate intermediates; operates on attacker guesses, not victim control flow)
     """HW of the result's biased exponent for guessed E_x.
 
-    With the 53-bit significand already recovered, the full product —
-    and hence its normalization/rounding carry — is exactly predictable:
-    the hypothesis builds x = (E_x_guess, significand), multiplies by the
-    known operand in IEEE-754, and reads off the exponent field.
+    With the 53-bit significand already recovered, the product's
+    normalization/rounding carry is known per trace and does not depend
+    on the exponent guess: it is computed once, and each guess only
+    adds its E_x before fpr.c's flush/saturate clamp.
     """
     if not 1 << 52 <= significand < 1 << 53:
         raise ValueError(f"significand out of range: {significand:#x}")
-    x_pats = (np.asarray(guesses, dtype=np.uint64) << _U(52)) | (_U(significand) & _MANT_MASK)
-
-    def fn(y, x):
-        # Extreme wrong guesses overflow to inf — a legal (useless)
-        # hypothesis for those columns, so silence the FP warning.
-        with np.errstate(over="ignore", under="ignore"):
-            prod = y.view(np.float64) * x.view(np.float64)
-        return (prod.view(np.uint64) >> _U(52)) & _U(0x7FF)
-
-    return _hw_matrix(x_pats, fn, y_patterns)
+    y = np.asarray(y_patterns, dtype=np.uint64)
+    _, _, hi, stick = steps.product_sums(*steps.limbs(_U(significand)), *known_limbs(y))
+    _, carry = steps.round_even(hi, stick)
+    return _hw_matrix(guesses, lambda e, c, g: steps.exp_out(g, e, c), steps.exponent(y), carry)
 
 
 def hyp_sign(y_patterns: np.ndarray) -> np.ndarray:

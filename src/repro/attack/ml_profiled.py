@@ -133,13 +133,13 @@ class MlProfileResult:
 def ml_profile_step(profiling_set, label: str, segment: int = 0, **mlp_kwargs) -> MlpClassifier:
     """Train an MLP on one step of a profiling TraceSet (known secret)."""
     from repro.fpr.trace import MUL_STEP_LABELS
-    from repro.leakage.backend import DEFAULT_BACKEND, get_backend
+    from repro.leakage.steps import step_values
     from repro.utils.bits import hamming_weight_array
 
     if profiling_set.true_secret is None:
         raise ValueError("profiling requires a TraceSet with a known secret")
     seg = profiling_set.segments[segment]
-    values = get_backend(DEFAULT_BACKEND).step_values(profiling_set.true_secret, seg.known_y)
+    values = step_values(profiling_set.true_secret, seg.known_y)
     col = MUL_STEP_LABELS.index(label)
     hw = hamming_weight_array(values[:, col])
     window = seg.traces[:, profiling_set.layout.slice_of(label)]

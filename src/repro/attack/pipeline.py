@@ -193,7 +193,6 @@ def full_attack(
     message: bytes = b"arbitrary message chosen by the adversary",
     mode: str = "direct",
     seed: int = 2021,
-    backend: str = "numpy-batch",
     target: str = DEFAULT_TARGET,
     progress_callback: ProgressCallback | None = None,
     n_workers: int | None = None,
@@ -214,11 +213,6 @@ def full_attack(
     attacks fan out over that many worker processes, with results
     bit-identical to the serial run. ``progress_callback`` receives
     structured per-coefficient :class:`ProgressEvent` records.
-
-    ``backend`` selects the capture step-value engine (see
-    :mod:`repro.leakage.backend`): ``numpy-batch`` (vectorized,
-    default) or ``python-ref`` (per-value softfloat). The engines are
-    bit-exact, so the recovered key is identical either way.
 
     ``target`` selects the leakage surface (see :mod:`repro.targets`).
     The default ``fpr-mul`` runs the paper's key-extraction attack and
@@ -256,7 +250,6 @@ def full_attack(
             n_traces=n_traces,
             mode=mode,
             seed=seed,
-            backend=backend,
             target=target,
             value_transform=value_transform,
         )

@@ -187,13 +187,13 @@ def profile_step(
     simulator conveniently knows them too.
     """
     from repro.fpr.trace import MUL_STEP_LABELS
-    from repro.leakage.backend import DEFAULT_BACKEND, get_backend
+    from repro.leakage.steps import step_values
     from repro.utils.bits import hamming_weight_array
 
     seg = profiling_set.segments[segment]
     if profiling_set.true_secret is None:
         raise ValueError("profiling requires a TraceSet with a known secret")
-    values = get_backend(DEFAULT_BACKEND).step_values(profiling_set.true_secret, seg.known_y)
+    values = step_values(profiling_set.true_secret, seg.known_y)
     col = MUL_STEP_LABELS.index(label)
     hw = hamming_weight_array(values[:, col])
     window = seg.traces[:, profiling_set.layout.slice_of(label)]

@@ -80,7 +80,7 @@ def cmd_capture(args) -> int:
     device = DeviceModel(noise_sigma=args.noise)
     ts = capture_coefficient(
         sk, args.index, n_traces=args.traces, device=device, seed=args.capture_seed,
-        backend=args.backend, target=args.target,
+        target=args.target,
     )
     ts.save(args.out)
     print(
@@ -178,7 +178,6 @@ def cmd_attack(args) -> int:  # sast: declassify(reason=CLI reports attack outco
             message=args.message.encode(),
             mode=args.mode,
             seed=args.seed,
-            backend=args.backend,
             target=args.target,
             store=args.store,
             session=args.resume,
@@ -206,10 +205,8 @@ def cmd_store_info(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro.attack.config import KNOWN_DISTINGUISHERS
-    from repro.leakage.backend import BACKENDS
     from repro.targets import DEFAULT_TARGET, TARGET_NAMES
 
-    backend_names = ", ".join(sorted(BACKENDS))
     target_names = ", ".join(TARGET_NAMES)
     distinguisher_names = ", ".join(sorted(KNOWN_DISTINGUISHERS))
 
@@ -257,12 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traces", type=int, default=10_000)
     p.add_argument("--noise", type=float, default=10.0)
     p.add_argument("--capture-seed", type=int, default=2021)
-    p.add_argument(
-        "--backend", type=str, default="numpy-batch",
-        help="step-value engine: 'numpy-batch' computes whole trace blocks "
-        "as uint64 array ops, 'python-ref' runs the per-value softfloat "
-        f"reference (bit-exact, ~100x slower); registered: {backend_names}",
-    )
     p.add_argument("--out", type=str, required=True, help=".npz traceset output")
     p.add_argument("--trs-prefix", type=str, default=None, help="also export Riscure TRS files")
     p.set_defaults(fn=cmd_capture)
@@ -298,11 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=2021,
         help="capture campaign seed (drives the known-message corpus and "
         "the per-target acquisition RNG)",
-    )
-    p.add_argument(
-        "--backend", type=str, default="numpy-batch",
-        help="capture step-value engine (bit-exact choices; 'numpy-batch' "
-        f"makes the capture side ~100x faster); registered: {backend_names}",
     )
     p.add_argument(
         "--target", type=str, default=DEFAULT_TARGET,
@@ -374,7 +360,7 @@ def main(argv: list[str] | None = None) -> int:
         # output piped into a pager/head that closed early: normal exit
         return 0
     except ValueError as exc:
-        # registry lookups (--target / --backend / --distinguisher) raise
+        # registry lookups (--target / --distinguisher) raise
         # with the sorted list of registered names; surface that verbatim
         print(f"error: {exc}", file=sys.stderr)
         return 2

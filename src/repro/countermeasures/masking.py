@@ -178,9 +178,9 @@ def capture_masked_shares(
     share arrays are (D,) sample columns — the input of the
     second-order attack (:mod:`repro.attack.second_order`).
     """
-    from repro.leakage.backend import DEFAULT_BACKEND, get_backend
     from repro.leakage.capture import CaptureCampaign
     from repro.leakage.device import DeviceModel
+    from repro.leakage.steps import step_values
 
     if step not in MUL_STEP_LABELS:
         raise ValueError(f"unknown step label {step!r}")
@@ -188,7 +188,7 @@ def capture_masked_shares(
     campaign = CaptureCampaign(sk=sk, n_traces=n_traces, device=dev, seed=seed)
     ts = campaign.capture(target_index)
     seg = ts.segments[segment]
-    values = get_backend(DEFAULT_BACKEND).step_values(ts.true_secret, seg.known_y)
+    values = step_values(ts.true_secret, seg.known_y)
     col = MUL_STEP_LABELS.index(step)
     width = MUL_STEP_WIDTHS[step]
     rng = np.random.default_rng((dev.seed, seed, target_index, col))

@@ -14,18 +14,10 @@ messages and packages the result as :class:`TraceSet` objects.
 """
 
 from repro.leakage.model import HammingWeightModel, HammingDistanceModel, WeightedBitModel
-from repro.leakage.backend import (
-    BACKEND_NAMES,
-    CaptureBackend,
-    DEFAULT_BACKEND,
-    NumpyBatchBackend,
-    PythonRefBackend,
-    get_backend,
-)
 from repro.leakage.device import DeviceModel
 from repro.leakage.synth import synthesize_mul_traces, trace_layout, TraceLayout
 from repro.leakage.traceset import TraceSet
-from repro.leakage.capture import CaptureCampaign, CaptureConfig, capture_coefficient
+from repro.leakage.capture import CaptureCampaign, capture_coefficient
 from repro.leakage.store import CampaignStore, StoreError, TraceSource
 from repro.leakage.trs import read_trs, write_trs, traceset_to_trs, trs_to_traceset
 
@@ -33,19 +25,12 @@ __all__ = [
     "HammingWeightModel",
     "HammingDistanceModel",
     "WeightedBitModel",
-    "BACKEND_NAMES",
-    "CaptureBackend",
-    "DEFAULT_BACKEND",
-    "NumpyBatchBackend",
-    "PythonRefBackend",
-    "get_backend",
     "DeviceModel",
     "synthesize_mul_traces",
     "trace_layout",
     "TraceLayout",
     "TraceSet",
     "CaptureCampaign",
-    "CaptureConfig",
     "capture_coefficient",
     "CampaignStore",
     "StoreError",

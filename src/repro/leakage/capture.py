@@ -34,8 +34,8 @@ from numpy.typing import NDArray
 
 from repro.falcon.hash_to_point import hash_to_point
 from repro.falcon.keygen import SecretKey
-from repro.leakage.backend import DEFAULT_BACKEND, get_backend
 from repro.leakage.device import DeviceModel
+from repro.leakage.steps import step_values
 from repro.leakage.synth import trace_layout
 from repro.leakage.traceset import Segment, TraceSet
 from repro.math import fft
@@ -48,7 +48,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.leakage.store import CampaignStore
 
 __all__ = [
-    "CaptureConfig",
     "CaptureCampaign",
     "capture_coefficient",
     "fft_to_doubles",
@@ -79,27 +78,6 @@ def _is_normal(patterns: NDArray[np.uint64]) -> NDArray[np.bool_]:
     return (e != 0) & (e != 0x7FF)
 
 
-@dataclass(frozen=True)
-class CaptureConfig:
-    """Acquisition parameters independent of the victim key and device.
-
-    Groups the knobs a campaign needs beyond (sk, device) so callers —
-    the CLI, the pipeline, orchestration code — can pass one object
-    around. ``backend`` names the step-value engine
-    (:mod:`repro.leakage.backend`): ``numpy-batch`` (vectorized,
-    default) or ``python-ref`` (per-value softfloat reference); the two
-    are bit-exact, so the choice never changes a trace byte. ``target``
-    names the leakage surface (:mod:`repro.targets`): which
-    secret-handling computation the campaign records.
-    """
-
-    n_traces: int = 10_000
-    mode: str = "direct"          # "direct" | "hash"
-    seed: int = 2021
-    backend: str = DEFAULT_BACKEND
-    target: str = DEFAULT_TARGET
-
-
 @dataclass
 class CaptureCampaign:
     """A reusable acquisition session against one secret key.
@@ -114,9 +92,6 @@ class CaptureCampaign:
     n_traces: int = 10_000
     mode: str = "direct"          # "direct" | "hash"
     seed: int = 2021
-    #: Step-value engine (see :mod:`repro.leakage.backend`); bit-exact
-    #: across choices, so this is purely a capture-throughput knob.
-    backend: str = DEFAULT_BACKEND
     #: Leakage surface (see :mod:`repro.targets`). The default
     #: ``fpr-mul`` runs the original capture body below byte-for-byte;
     #: any other registered surface owns its own acquisition
@@ -128,21 +103,11 @@ class CaptureCampaign:
     value_transform: Callable[
         [NDArray[np.uint64], np.random.Generator], NDArray[np.uint64]
     ] | None = None
-    #: Alternative constructor input: a :class:`CaptureConfig` overrides
-    #: the individual ``n_traces``/``mode``/``seed``/``backend`` fields.
-    config: CaptureConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.config is not None:
-            self.n_traces = self.config.n_traces
-            self.mode = self.config.mode
-            self.seed = self.config.seed
-            self.backend = self.config.backend
-            self.target = self.config.target
         if self.mode not in ("direct", "hash"):
             raise ValueError(f"unknown capture mode {self.mode!r}")
-        get_backend(self.backend)  # fail fast on unknown backend names
-        get_target(self.target)    # ... and unknown surface names
+        get_target(self.target)  # fail fast on unknown surface names
         self._c_fft: NDArray[np.complex128] | None = None
         self._secret_doubles: NDArray[np.float64] | None = None
         #: Per-surface scratch (e.g. the samplerz surface's traced
@@ -237,9 +202,7 @@ class CaptureCampaign:
                 patterns = known.view(np.uint64)
                 keep = _is_normal(patterns)
                 patterns = patterns[keep]
-                values = get_backend(self.backend).step_values(
-                    int(secret_pattern), patterns
-                )
+                values = step_values(int(secret_pattern), patterns)
                 if self.value_transform is not None:
                     values = self.value_transform(values, rng)
                 traces = self.device.emit(values, rng)
@@ -296,7 +259,6 @@ def capture_coefficient(
     device: DeviceModel | None = None,
     mode: str = "direct",
     seed: int = 2021,
-    backend: str = DEFAULT_BACKEND,
     target: str = DEFAULT_TARGET,
 ) -> TraceSet:
     """Convenience wrapper: one-shot capture of a single target.
@@ -311,7 +273,6 @@ def capture_coefficient(
         n_traces=n_traces,
         mode=mode,
         seed=seed,
-        backend=backend,
         target=target,
     )
     return campaign.capture(target_index)

@@ -371,16 +371,6 @@ class CampaignStore:
         return int(self.manifest["seed"])
 
     @property
-    def backend(self) -> str:
-        """Which step-value backend produced the shards.
-
-        Stores written before the backend was recorded predate the
-        pluggable engines; everything then went through the vectorized
-        path that became ``numpy-batch``.
-        """
-        return str(self.manifest.get("backend", "numpy-batch"))
-
-    @property
     def target(self) -> str:
         """Which leakage surface the shards record.
 
@@ -444,7 +434,6 @@ class CampaignStore:
             "n_traces": campaign.n_traces,
             "mode": campaign.mode,
             "seed": campaign.seed,
-            "backend": campaign.backend,
             "target": campaign.target,
             "device": _device_to_jsonable(campaign.device),
             "targets": entries,

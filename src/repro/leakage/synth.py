@@ -5,11 +5,7 @@ architectural intermediates as :func:`repro.fpr.trace.fpr_mul_trace`
 (property-tested equal), maps them through the device model, and returns
 oscilloscope-style trace matrices.
 
-The step-value computation itself is pluggable — see
-:mod:`repro.leakage.backend` for the ``python-ref`` (per-value
-softfloat) and ``numpy-batch`` (vectorized, bit-exact, orders of
-magnitude faster) implementations; :func:`synthesize_mul_traces`
-takes the backend by name.
+The step values come from :func:`repro.leakage.steps.step_values`.
 """
 
 from __future__ import annotations
@@ -21,8 +17,8 @@ import numpy as np
 from numpy.typing import NDArray
 
 from repro.fpr.trace import MUL_STEP_LABELS
-from repro.leakage.backend import CaptureBackend, DEFAULT_BACKEND, get_backend
 from repro.leakage.device import DeviceModel
+from repro.leakage.steps import step_values
 
 __all__ = ["trace_layout", "TraceLayout", "synthesize_mul_traces"]
 
@@ -56,11 +52,10 @@ def synthesize_mul_traces(
     y: NDArray[Any],
     device: DeviceModel,
     rng: np.random.Generator | None = None,
-    backend: str | CaptureBackend = DEFAULT_BACKEND,
 ) -> tuple[NDArray[np.float32], NDArray[np.uint64]]:
     """Traces (D, T) plus the underlying step values (D, S) for x*y."""
     if rng is None:
         rng = device.rng()
-    values = get_backend(backend).step_values(x, y)
+    values = step_values(x, y)
     traces = device.emit(values, rng)
     return traces, values

@@ -11,8 +11,8 @@ owns
   (:meth:`TargetPoint.layout`),
 * its **batched step-value computation** — how a capture campaign turns
   victim state into the (D, S) uint64 intermediate matrix the device
-  emits (:meth:`TargetPoint.capture_traceset`, composing with the
-  :mod:`repro.leakage.backend` engines where vectorization applies),
+  emits (:meth:`TargetPoint.capture_traceset`, composing with
+  :func:`repro.leakage.steps.step_values` where vectorization applies),
 * its **hypothesis engine** — the predictor family scored against the
   traces (for ``fpr-mul`` the :mod:`repro.attack.hypotheses` ``hyp_*``
   functions; for ``samplerz`` the thermometer-code HW predictor of

@@ -15,8 +15,8 @@ Surface parameters:
 
 * **Targets** — the n secret doubles of FFT(f) (Re/Im interleaved).
 * **Steps** — the 18 ``MUL_STEP_LABELS`` intermediates of one fpr
-  multiply (:mod:`repro.fpr.trace`), batch-computed by the pluggable
-  :mod:`repro.leakage.backend` engines.
+  multiply (:mod:`repro.fpr.trace`), batch-computed by
+  :func:`repro.leakage.steps.step_values`.
 * **Hypotheses** — the ``hyp_*`` family of :mod:`repro.attack.
   hypotheses`, consumed through the extend-and-prune ladder and the
   sign/exponent DEMA of :mod:`repro.attack.coefficient`.

@@ -1,13 +1,12 @@
 """Shared name-lookup plumbing for the pluggable registries.
 
-The repo has three user-facing registries resolved by name — capture
-backends (:mod:`repro.leakage.backend`), leakage surfaces
-(:mod:`repro.targets`) and distinguishers
+The repo has two user-facing registries resolved by name — leakage
+surfaces (:mod:`repro.targets`) and distinguishers
 (:mod:`repro.attack.distinguisher`) — each reachable from a CLI flag.
 They share one failure mode: a typo'd name. :func:`resolve_name` gives
 them one error message shape (the sorted list of registered names), so
-``--target``, ``--backend`` and ``--distinguisher`` all fail the same
-helpful way and the message is tested once.
+``--target`` and ``--distinguisher`` fail the same helpful way and the
+message is tested once.
 """
 
 from __future__ import annotations

@@ -1,11 +1,12 @@
-"""Hypothesis matrices against the capture engine, and their memory layout.
+"""Hypothesis matrices against the softfloat reference, and their memory layout.
 
 The builders in :mod:`repro.attack.hypotheses` predict the Hamming weight
 of one step value of the multiply per trace and guess. For the true
-secret, that column must be exactly the HW of the value the capture
-backend computes for the step. The builders return column-major
-matrices; the Pearson kernels and the template distinguisher must give
-the same answer for either memory order.
+secret, that column must be exactly the HW of the step value the
+reference :func:`repro.fpr.trace.fpr_mul_trace` records: not the capture
+engine's, which shares its stage functions with the builders. The
+builders return column-major matrices; the Pearson kernels and the
+template distinguisher must give the same answer for either memory order.
 """
 
 import numpy as np
@@ -24,11 +25,12 @@ from repro.attack.hypotheses import (
     known_limbs,
 )
 from repro.falcon import FalconParams, keygen
+from repro.fpr import emu
 from repro.fpr.trace import LOW_BITS, MUL_STEP_LABELS
 from repro.leakage import CaptureCampaign
-from repro.leakage.backend import get_backend
-from repro.utils.bits import hamming_weight_array
+from repro.utils.bits import hamming_weight, hamming_weight_array
 from repro.utils.stats import batched_pearson, guess_block, streaming_pearson
+from tests.mul_reference import reference_step_values
 
 D = 6000
 BLOCK = guess_block(D)
@@ -42,7 +44,7 @@ def captured():
     sk, _ = keygen(FalconParams.get(8), seed=b"hypothesis-layout-tests")
     ts = CaptureCampaign(sk=sk, n_traces=D, seed=3).capture(1)
     seg = ts.segments[0]
-    steps = get_backend("numpy-batch").step_values(ts.true_secret, seg.known_y)
+    steps = reference_step_values(ts.true_secret, seg.known_y)
     return ts.true_secret, seg.known_y, steps
 
 
@@ -84,6 +86,31 @@ def test_true_guess_column_is_hw_of_captured_step(captured, g):
         assert hyp.dtype == np.int8 and hyp.flags.f_contiguous, label
         assert hyp.shape == (D, 2 if label == "sign_out" else g), label
         np.testing.assert_array_equal(hyp[:, pos], want, err_msg=label)
+
+
+@pytest.mark.parametrize("sig", [1 << 52, (1 << 53) - 1, 0x1B6DB6DB6DB6DB])
+def test_exp_out_extreme_guesses_flush_and_saturate(sig):
+    """At the extreme exponent guesses (1, 2, 2045, 2046) products with
+    small or large known exponents underflow or overflow: every cell must
+    be the HW of fpr_mul's flushed or saturated exponent field."""
+    rng = np.random.default_rng(sig & 0xFFFF)
+    n = 3000
+    y = (
+        (rng.integers(0, 2, n).astype(np.uint64) << np.uint64(63))
+        | (rng.integers(1, 2047, n).astype(np.uint64) << np.uint64(52))
+        | rng.integers(0, 1 << 52, n, dtype=np.uint64)
+    )
+    y[:8] |= np.uint64((1 << 52) - 1)  # all-ones significands: rounding carries
+    guesses = np.array([1, 2, 2045, 2046], dtype=np.uint64)
+    hyp = hyp_exp_out(y, guesses, sig)
+    fields = set()
+    for j, e in enumerate(guesses):
+        x = (int(e) << 52) | (sig & ((1 << 52) - 1))
+        got = [(emu.fpr_mul(x, int(v)) >> 52) & 0x7FF for v in y]
+        fields |= set(got)
+        want = [hamming_weight(f) for f in got]
+        np.testing.assert_array_equal(hyp[:, j], want, err_msg=f"guess {int(e)}")
+    assert {0, 0x7FF} <= fields  # both clamps are exercised
 
 
 @pytest.mark.parametrize("g", G_CASES)

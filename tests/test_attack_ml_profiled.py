@@ -56,11 +56,11 @@ class TestMlProfiledAttack:
         clf = ml_profile_step(prof, "s_lo", epochs=40, seed=3)
         # the classifier should beat chance substantially on its own data
         from repro.fpr.trace import MUL_STEP_LABELS
-        from repro.leakage.backend import DEFAULT_BACKEND, get_backend
+        from repro.leakage.steps import step_values
         from repro.utils.bits import hamming_weight_array
 
         seg = prof.segments[0]
-        values = get_backend(DEFAULT_BACKEND).step_values(prof.true_secret, seg.known_y)
+        values = step_values(prof.true_secret, seg.known_y)
         hw = hamming_weight_array(values[:, MUL_STEP_LABELS.index("s_lo")])
         window = seg.traces[:, prof.layout.slice_of("s_lo")]
         acc = clf.accuracy(window, hw)

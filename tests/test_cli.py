@@ -123,7 +123,7 @@ class TestCli:
 
 
 class TestStoreInfo:
-    def test_reports_backend_and_target(self, tmp_path, capsys):
+    def test_reports_target(self, tmp_path, capsys):
         from repro.falcon import FalconParams, keygen
         from repro.leakage import CaptureCampaign, DeviceModel
 
@@ -133,13 +133,13 @@ class TestStoreInfo:
         ).materialize(tmp_path / "store", targets=[0])
         assert main(["store-info", "--store", str(tmp_path / "store")]) == 0
         out = capsys.readouterr().out
-        assert "backend=numpy-batch" in out
-        assert "target=samplerz" in out
+        assert "capture: target=samplerz" in out
+        assert "backend" not in out
 
     def test_legacy_manifest_without_backend_or_target(self, tmp_path, capsys):
-        """A hand-written pre-backend/pre-surface manifest (the on-disk
-        format of earlier releases) must still summarize cleanly, with
-        both fields defaulting to the only engines that existed then."""
+        """A hand-written pre-surface manifest (the on-disk format of
+        earlier releases) must still summarize cleanly, with the target
+        defaulting to the only surface that existed then."""
         import json
 
         store = tmp_path / "legacy"
@@ -162,6 +162,40 @@ class TestStoreInfo:
         }))
         assert main(["store-info", "--store", str(store)]) == 0
         out = capsys.readouterr().out
-        assert "backend=numpy-batch" in out
-        assert "target=fpr-mul" in out
+        assert "capture: target=fpr-mul" in out
         assert "shards: 1/8 complete" in out
+
+    def test_manifest_with_legacy_backend_key(self, tmp_path, capsys):
+        """Stores written while the capture engine was selectable carry
+        ``"backend"`` in their manifest. They still open and summarize,
+        and materializing into one reuses every shard."""
+        import json
+        import os
+
+        from repro.falcon import FalconParams, keygen
+        from repro.leakage import CampaignStore, CaptureCampaign
+
+        sk, _ = keygen(FalconParams.get(8), seed=b"cli-store")
+        campaign = CaptureCampaign(sk=sk, n_traces=32, seed=3)
+        path = str(tmp_path / "old")
+        campaign.materialize(path, targets=[0, 1])
+        manifest_path = os.path.join(path, "manifest.json")
+        with open(manifest_path) as fh:
+            manifest = json.load(fh)
+        manifest["backend"] = "python-ref"
+        with open(manifest_path, "w") as fh:
+            json.dump(manifest, fh)
+
+        assert CampaignStore(path).targets() == [0, 1]
+        assert main(["store-info", "--store", path]) == 0
+        out = capsys.readouterr().out
+        assert "shards: 2/8 complete" in out
+        assert "backend" not in out
+
+        def no_recapture(j):
+            raise AssertionError(f"shard {j} was re-captured")
+
+        campaign.capture = no_recapture
+        resumed = campaign.materialize(path, targets=[0, 1])
+        assert resumed.targets() == [0, 1]
+        assert "backend" not in resumed.manifest

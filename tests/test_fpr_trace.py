@@ -140,13 +140,13 @@ class TestTraceSemantics:
 
 class TestVectorizedConsistency:
     def test_batch_step_values_matches_scalar(self):
-        from repro.leakage.backend import DEFAULT_BACKEND, get_backend
+        from repro.leakage.steps import step_values
 
         rng = np.random.default_rng(42)
         xs = rng.standard_normal(300) * 10.0 ** rng.integers(-5, 6, 300)
         ys = rng.standard_normal(300) * 10.0 ** rng.integers(-5, 6, 300)
         xp, yp = xs.view(np.uint64), ys.view(np.uint64)
-        vals = get_backend(DEFAULT_BACKEND).step_values(xp, yp)
+        vals = step_values(xp, yp)
         assert vals.shape == (300, len(MUL_STEP_LABELS))
         for d in range(300):
             t = fpr_mul_trace(int(xp[d]), int(yp[d]))

@@ -16,8 +16,8 @@ from repro.leakage import (
     synthesize_mul_traces,
     trace_layout,
 )
-from repro.leakage.backend import DEFAULT_BACKEND, get_backend
 from repro.leakage.capture import doubles_to_fft, fft_to_doubles
+from repro.leakage.steps import step_values
 from repro.leakage.traceset import Segment
 
 
@@ -126,9 +126,7 @@ class TestSynth:
 
     def test_zero_operand_rejected(self):
         with pytest.raises(ValueError):
-            get_backend(DEFAULT_BACKEND).step_values(
-                0, np.array([np.float64(1.5).view(np.uint64)])
-            )
+            step_values(0, np.array([np.float64(1.5).view(np.uint64)]))
 
     def test_synthesize_shapes(self):
         dev = DeviceModel()

@@ -1,14 +1,17 @@
-"""Backend equivalence: python-ref and numpy-batch must be bit-exact.
+"""The capture's step engine against the softfloat reference, bit for bit.
 
-The ``python-ref`` backend *is* the leakage model (one softfloat
-``fpr_mul_trace`` per operand pair); ``numpy-batch`` re-implements the
-whole pipeline as uint64/int64 array ops, including the integer
+:func:`repro.leakage.steps.step_values` computes every intermediate of
+the fpr multiply as uint64 array ops, including the integer
 round-to-nearest-even and the fpr.c underflow-flush / overflow-saturate
-semantics the host FPU does not share. Every intermediate column must
-agree on every input — normal mid-range operands and the edge patterns
-where the rounding and exponent paths actually branch.
+semantics the host FPU does not share. The reference is one
+:func:`repro.fpr.trace.fpr_mul_trace` per operand pair
+(:mod:`tests.mul_reference`). Every column must agree on every input:
+normal mid-range operands and the edge patterns where the rounding and
+exponent paths actually branch.
 """
 
+import json
+import os
 import struct
 
 import numpy as np
@@ -18,21 +21,9 @@ from hypothesis import given, settings, strategies as st
 from repro.falcon import FalconParams, keygen
 from repro.fpr import emu
 from repro.fpr.trace import MUL_STEP_LABELS, fpr_mul_trace
-from repro.leakage import (
-    BACKEND_NAMES,
-    CaptureBackend,
-    CaptureCampaign,
-    CaptureConfig,
-    DEFAULT_BACKEND,
-    CampaignStore,
-    DeviceModel,
-    capture_coefficient,
-    get_backend,
-    synthesize_mul_traces,
-)
-
-REF = get_backend("python-ref")
-BATCH = get_backend("numpy-batch")
+from repro.leakage import CaptureCampaign, DeviceModel, capture_coefficient, synthesize_mul_traces
+from repro.leakage.steps import step_values
+from tests.mul_reference import reference_step_values
 
 
 def _patterns(rng, n, emin, emax):
@@ -44,8 +35,8 @@ def _patterns(rng, n, emin, emax):
 
 
 def _assert_columns_equal(x, y):
-    ref_vals = REF.step_values(x, y)
-    batch_vals = BATCH.step_values(x, y)
+    ref_vals = reference_step_values(x, y)
+    batch_vals = step_values(x, y)
     for i, label in enumerate(MUL_STEP_LABELS):
         np.testing.assert_array_equal(
             ref_vals[:, i], batch_vals[:, i], err_msg=f"column {label!r} diverged"
@@ -81,11 +72,11 @@ class TestBackendEquivalence:
         _assert_columns_equal(x, y)
 
     def test_matches_per_value_trace(self):
-        """Both backends reproduce fpr_mul_trace's step list row by row."""
+        """The engine reproduces fpr_mul_trace's step list row by row."""
         rng = np.random.default_rng(11)
         x = _patterns(rng, 64, 1, 2046)
         y = _patterns(rng, 64, 1, 2046)
-        batch_vals = BATCH.step_values(x, y)
+        batch_vals = step_values(x, y)
         for d in range(64):
             trace = fpr_mul_trace(int(x[d]), int(y[d]))
             assert trace.labels == list(MUL_STEP_LABELS)
@@ -116,7 +107,7 @@ class TestBackendEquivalence:
     def test_property_single_pairs(self, sx, ex, mx, sy, ey, my):
         x = emu.compose(sx, ex, mx)
         y = emu.compose(sy, ey, my)
-        batch_vals = BATCH.step_values(
+        batch_vals = step_values(
             np.array([x], dtype=np.uint64), np.array([y], dtype=np.uint64)
         )
         trace = fpr_mul_trace(x, y)
@@ -124,44 +115,16 @@ class TestBackendEquivalence:
             batch_vals[0], np.array(trace.values, dtype=np.uint64)
         )
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_zero_operand_rejected(self, backend):
+    def test_zero_operand_rejected(self):
         y = np.array([np.float64(1.5).view(np.uint64)])
         with pytest.raises(ValueError, match="nonzero normal"):
-            get_backend(backend).step_values(0, y)
+            step_values(0, y)
 
-    @pytest.mark.parametrize("backend", BACKEND_NAMES)
-    def test_inf_operand_rejected(self, backend):
+    def test_inf_operand_rejected(self):
         inf = struct.unpack("<Q", struct.pack("<d", float("inf")))[0]
         y = np.array([np.float64(2.0).view(np.uint64)])
         with pytest.raises(ValueError, match="nonzero normal"):
-            get_backend(backend).step_values(inf, y)
-
-
-class TestBackendRegistry:
-    def test_names_and_default(self):
-        assert set(BACKEND_NAMES) == {"python-ref", "numpy-batch"}
-        assert DEFAULT_BACKEND in BACKEND_NAMES
-
-    def test_get_backend_roundtrip(self):
-        for name in BACKEND_NAMES:
-            backend = get_backend(name)
-            assert isinstance(backend, CaptureBackend)
-            assert backend.name == name
-            assert get_backend(backend) is backend
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown capture backend"):
-            get_backend("cuda-warp")
-        with pytest.raises(ValueError, match="unknown capture backend"):
-            CaptureCampaign(sk=_sk(), n_traces=10, backend="cuda-warp")
-
-    def test_capture_config_applies(self):
-        cfg = CaptureConfig(n_traces=33, mode="direct", seed=9, backend="python-ref")
-        camp = CaptureCampaign(sk=_sk(), config=cfg)
-        assert (camp.n_traces, camp.mode, camp.seed, camp.backend) == (
-            33, "direct", 9, "python-ref",
-        )
+            step_values(inf, y)
 
 
 @pytest.fixture(scope="module")
@@ -169,53 +132,49 @@ def kp():
     return keygen(FalconParams.get(8), seed=b"backend")
 
 
-def _sk():
-    return keygen(FalconParams.get(8), seed=b"backend")[0]
+def _reference_traceset_bytes(ts, device, seed):
+    """Trace bytes the capture should emit, from reference step values.
+
+    Replays capture's per-target RNG and device over the kept known
+    operands, so only the step values can differ.
+    """
+    rng = np.random.default_rng((device.seed, seed, ts.target_index))
+    return [
+        device.emit(reference_step_values(ts.true_secret, seg.known_y), rng).tobytes()
+        for seg in ts.segments
+    ]
 
 
-class TestCaptureUnderBothBackends:
+class TestCaptureAgainstReference:
     def test_tracesets_byte_identical(self, kp):
-        """Same seed, either backend: the trace sets must match byte for
-        byte — backend choice is a speed knob, never a data change."""
+        """Captured traces are the device's emission of the reference
+        step values, byte for byte."""
         sk, _ = kp
-        ref_ts = capture_coefficient(sk, 0, n_traces=120, seed=4, backend="python-ref")
-        fast_ts = capture_coefficient(sk, 0, n_traces=120, seed=4, backend="numpy-batch")
-        assert ref_ts.meta == fast_ts.meta
-        assert ref_ts.true_secret == fast_ts.true_secret
-        for a, b in zip(ref_ts.segments, fast_ts.segments):
-            assert a.name == b.name
-            assert a.known_y.tobytes() == b.known_y.tobytes()
-            assert a.traces.tobytes() == b.traces.tobytes()
+        dev = DeviceModel()
+        ts = capture_coefficient(sk, 0, n_traces=120, device=dev, seed=4)
+        want = _reference_traceset_bytes(ts, dev, seed=4)
+        assert [seg.traces.tobytes() for seg in ts.segments] == want
 
-    def test_synthesize_backend_param(self):
+    def test_synthesize_matches_reference(self):
         dev = DeviceModel(noise_sigma=0.0)
         y = (np.random.default_rng(3).standard_normal(40) + 2.5).view(np.uint64)
         x = int(np.float64(1.618).view(np.uint64))
-        t_ref, v_ref = synthesize_mul_traces(x, y, dev, backend="python-ref")
-        t_fast, v_fast = synthesize_mul_traces(x, y, dev, backend="numpy-batch")
-        np.testing.assert_array_equal(v_ref, v_fast)
-        np.testing.assert_array_equal(t_ref, t_fast)
+        traces, values = synthesize_mul_traces(x, y, dev)
+        ref = reference_step_values(x, y)
+        np.testing.assert_array_equal(values, ref)
+        np.testing.assert_array_equal(traces, dev.emit(ref, dev.rng()))
 
-    def test_store_roundtrip_records_backend(self, kp, tmp_path):
-        """Materializing under either backend yields byte-identical
-        shards; the manifest records which backend produced them."""
+    def test_store_matches_reference(self, kp, tmp_path):
+        """Materialized shards hold the reference traces, and the
+        manifest no longer names a step engine."""
         sk, _ = kp
-        stores = {}
-        for backend in BACKEND_NAMES:
-            camp = CaptureCampaign(sk=sk, n_traces=60, seed=5, backend=backend)
-            stores[backend] = camp.materialize(str(tmp_path / backend))
-        assert stores["python-ref"].backend == "python-ref"
-        assert stores["numpy-batch"].backend == "numpy-batch"
-        for j in stores["python-ref"].targets():
-            a = stores["python-ref"].capture(j, mmap=False)
-            b = stores["numpy-batch"].capture(j, mmap=False)
-            assert a.meta == b.meta
-            for seg_a, seg_b in zip(a.segments, b.segments):
-                assert seg_a.known_y.tobytes() == seg_b.known_y.tobytes()
-                assert seg_a.traces.tobytes() == seg_b.traces.tobytes()
-
-    def test_reopened_store_reports_backend(self, kp, tmp_path):
-        sk, _ = kp
-        camp = CaptureCampaign(sk=sk, n_traces=40, seed=6, backend="python-ref")
-        camp.materialize(str(tmp_path / "s"))
-        assert CampaignStore(str(tmp_path / "s")).backend == "python-ref"
+        dev = DeviceModel()
+        store = CaptureCampaign(sk=sk, device=dev, n_traces=60, seed=5).materialize(
+            str(tmp_path / "s")
+        )
+        with open(os.path.join(store.path, "manifest.json")) as fh:
+            assert "backend" not in json.load(fh)
+        for j in store.targets():
+            ts = store.capture(j, mmap=False)
+            want = _reference_traceset_bytes(ts, dev, seed=5)
+            assert [seg.traces.tobytes() for seg in ts.segments] == want

@@ -59,7 +59,6 @@ class TestRegistry:
         """Every registry raises the same shaped message: the offending
         name plus the sorted list of registered names."""
         from repro.attack.config import AttackConfig
-        from repro.leakage import get_backend
 
         with pytest.raises(ValueError) as exc:
             get_target("oscilloscope")
@@ -67,8 +66,6 @@ class TestRegistry:
         assert msg.startswith("unknown target 'oscilloscope'")
         assert "'fpr-mul', 'samplerz'" in msg
 
-        with pytest.raises(ValueError, match="unknown capture backend"):
-            get_backend("cuda")
         with pytest.raises(ValueError, match="unknown distinguisher"):
             AttackConfig(distinguisher="deep-learning")
 
@@ -89,20 +86,15 @@ class TestFprMulByteIdentity:
     TRACESET_SHA256 = "063ce94de5d29953a22a8f256599ae01bbd12d885af9bd91c2ea48796ce255da"
     STORE_SHA256 = "cc1e7c55d75c6699c1ad421aa462ec9200c41b832bcadd019fba94a9e81c884e"
 
-    @pytest.mark.parametrize("backend", ["numpy-batch", "python-ref"])
-    def test_traceset_pinned(self, victim, backend):
+    def test_traceset_pinned(self, victim):
         sk, _ = victim
-        ts = capture_coefficient(
-            sk, 1, n_traces=200, device=DeviceModel(), seed=2021, backend=backend
-        )
+        ts = capture_coefficient(sk, 1, n_traces=200, device=DeviceModel(), seed=2021)
         assert "target" not in ts.meta, "fpr-mul tracesets must stay legacy-shaped"
         assert _traceset_digest(ts) == self.TRACESET_SHA256
 
     def test_store_pinned(self, victim, tmp_path):
         sk, _ = victim
-        campaign = CaptureCampaign(
-            sk=sk, device=DeviceModel(), n_traces=64, seed=7, backend="numpy-batch"
-        )
+        campaign = CaptureCampaign(sk=sk, device=DeviceModel(), n_traces=64, seed=7)
         store = campaign.materialize(tmp_path / "store")
         # the manifest records the surface (a new field, excluded from the
         # pin); every shard byte must be identical to the pre-surface layout
