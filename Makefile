@@ -71,7 +71,7 @@ smoke:
 # The tier-1 suite, the gates, the smoke, and the benchmark harness's
 # self-tests (perfbench/: every layer binding resolves). The benchmark
 # itself is `python3 perfbench/run.py`; see BENCHMARK.json.
-verify: test lint sast typecheck smoke
+verify: test lint sast sast-oracle typecheck smoke
 	$(PYTHON) -m pytest perfbench -q
 
 demo:

@@ -11,7 +11,6 @@ Design-choice ablation over several coefficients:
 import numpy as np
 
 from repro.analysis import format_table
-from repro.attack.config import AttackConfig
 from repro.attack.extend_prune import recover_mantissa
 from repro.attack.strawman import shift_aliases, straightforward_mantissa_attack
 
@@ -36,7 +35,7 @@ def test_extend_prune_ablation(campaign, benchmark):
             mult_unique = straw.correct_in_tie and len(straw.tied_top) == 1
 
             # (b) full extend-and-prune
-            rec = recover_mantissa(ts, AttackConfig())
+            rec = recover_mantissa(ts)
             ep_exact = rec.mantissa_field == (ts.true_secret & ((1 << 52) - 1))
 
             rows.append((j, straw.correct_in_tie, len(straw.tied_top), mult_unique, ep_exact))

@@ -11,8 +11,7 @@
 import numpy as np
 
 from repro.analysis import format_ranking
-from repro.attack.extend_prune import prune_candidates
-from repro.attack.hypotheses import hyp_s_lo
+from repro.attack.extend_prune import LOW_PRUNE_STEPS, prune_candidates
 from repro.attack.strawman import shift_aliases, straightforward_mantissa_attack
 
 
@@ -55,7 +54,7 @@ def test_fig4d_addition_prunes_false_positives(traceset, true_parts, benchmark):
     aliases = np.array(sorted(set(shift_aliases(true_lo, 25))), dtype=np.uint64)
 
     def prune():
-        return prune_candidates(traceset, aliases, [hyp_s_lo], ["s_lo"], True)
+        return prune_candidates(traceset, aliases, LOW_PRUNE_STEPS)
 
     scores, results = benchmark.pedantic(prune, rounds=1, iterations=1)
     print(f"\nFIG4d: prune phase on s_lo = (D*B >> 25) + D*A over the tie class")

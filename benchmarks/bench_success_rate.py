@@ -13,7 +13,6 @@ import numpy as np
 
 from repro.analysis import format_table
 from repro.analysis.success_rate import success_curve
-from repro.attack.config import AttackConfig
 from repro.attack.extend_prune import recover_mantissa
 from repro.attack.sign_exp import recover_exponent, recover_sign
 
@@ -38,7 +37,7 @@ def _exponent_attack(ts):
 
 
 def _mantissa_attack(ts):
-    rec = recover_mantissa(ts, AttackConfig())
+    rec = recover_mantissa(ts)
     return [rec.mantissa_field], int(ts.true_secret & ((1 << 52) - 1))
 
 

@@ -9,7 +9,6 @@ suite regenerates identical numbers.
 import numpy as np
 import pytest
 
-from repro.attack.config import AttackConfig
 from repro.experiment_defaults import BENCH_SEED, PAPER_N_TRACES
 from repro.falcon import FalconParams, keygen
 from repro.leakage import CaptureCampaign, DeviceModel
@@ -70,11 +69,6 @@ def true_parts(traceset):
         "hi": sig >> 25,
         "sig": sig,
     }
-
-
-@pytest.fixture(scope="session")
-def attack_config():
-    return AttackConfig()
 
 
 @pytest.fixture(scope="session")

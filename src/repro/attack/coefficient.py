@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.attack.config import AttackConfig
+from repro.attack.distinguisher import distinguisher_from_config
 from repro.attack.extend_prune import MantissaRecovery, recover_mantissa
 from repro.attack.sign_exp import ExponentRecovery, SignRecovery, recover_exponent, recover_sign
 from repro.fpr import emu
@@ -83,27 +84,16 @@ def recover_coefficient(
     already fitted — this function does not run a profiling campaign
     (see :func:`repro.attack.distinguisher.profile_distinguisher`).
     """
-    cfg = config or AttackConfig()
     if distinguisher is None:
-        from repro.attack.distinguisher import distinguisher_from_config
-
-        distinguisher = distinguisher_from_config(cfg)
+        distinguisher = distinguisher_from_config(config or AttackConfig())
     with span("mantissa"):
-        mantissa = recover_mantissa(traceset, cfg, distinguisher=distinguisher)
+        mantissa = recover_mantissa(traceset, distinguisher)
     with span("exponent"):
         exponent = recover_exponent(
-            traceset,
-            cfg.use_both_segments,
-            cfg.exponent_guesses,
-            significand=mantissa.significand,
-            chunk_rows=cfg.chunk_rows,
-            distinguisher=distinguisher,
+            traceset, significand=mantissa.significand, distinguisher=distinguisher
         )
     with span("sign"):
-        sign = recover_sign(
-            traceset, cfg.use_both_segments, chunk_rows=cfg.chunk_rows,
-            distinguisher=distinguisher,
-        )
+        sign = recover_sign(traceset, distinguisher)
     pattern = emu.compose(sign.bit, exponent.biased_exponent, mantissa.mantissa_field)
     return CoefficientRecovery(
         target_index=traceset.target_index,

@@ -16,28 +16,15 @@ KNOWN_DISTINGUISHERS = ("cpa", "template", "mlp", "second-order", "strawman")
 
 @dataclass(frozen=True)
 class AttackConfig:
-    """Knobs for the extend-and-prune mantissa recovery.
-
-    ``window``/``beam`` control the LSB-to-MSB candidate ladder that
-    walks the 25-bit and 27-bit limb guess spaces (the paper enumerates
-    them exhaustively on a workstation; the ladder reaches the same
-    candidates with beam * 2^window hypotheses per stage). ``prune_keep``
-    is how many multiplication-phase survivors enter the addition-phase
-    pruning.
-
-    ``exponent_guesses`` defaults to the dynamic range an FFT(f)
-    coefficient can actually take: f has small integer coefficients
-    (|f_i| <= 127), so |FFT(f)_k| lies within a few dozen octaves of 1.
-    Exponent guesses far outside that band are aliases of in-band values
-    (their HW-vs-E_y profiles differ only by a constant over the narrow
-    observed exponent window) and are excluded as physically impossible.
+    """Knobs of one attack run.
 
     ``n_workers`` fans the per-coefficient attacks of
     :func:`repro.attack.key_recovery.recover_full_key` out over a
     process pool (1 = serial in-process; results are bit-identical either
     way because every target derives its own seeds). ``chunk_rows``
     switches every CPA in the attack to the streaming accumulator with
-    that batch size; ``None`` keeps the one-shot matrix path.
+    that batch size; ``None`` keeps the one-shot matrix path. It reaches
+    the scoring through the distinguisher the config builds.
 
     ``distinguisher`` selects the statistical engine every recovery step
     scores guesses with (see :mod:`repro.attack.distinguisher`):
@@ -47,13 +34,13 @@ class AttackConfig:
     by the ``profiling_*`` knobs), ``"second-order"`` (the Section V-B
     centered-product attack; needs share-pair captures) and
     ``"strawman"`` (the Section III-B multiplication-only baseline).
+
+    The search widths are module constants, not knobs: the ladder's
+    ``WINDOW``/``BEAM``/``KEEP`` (:mod:`repro.attack.ladder`) and the
+    exponent band ``EXPONENT_GUESSES`` (:mod:`repro.attack.sign_exp`).
+    Every trace segment is always used.
     """
 
-    window: int = 5
-    beam: int = 32
-    prune_keep: int = 32
-    use_both_segments: bool = True
-    exponent_guesses: tuple[int, int] = (963, 1084)  # biased-exponent range [lo, hi)
     n_workers: int = 1
     chunk_rows: int | None = None
     distinguisher: str = "cpa"
@@ -62,12 +49,6 @@ class AttackConfig:
     profiling_seed: int = 77           # profiling campaign seed (never the victim's)
 
     def __post_init__(self) -> None:
-        if not 1 <= self.window <= 16:
-            raise ValueError(f"window must be in 1..16, got {self.window}")
-        if self.beam < 1:
-            raise ValueError(f"beam must be >= 1, got {self.beam}")
-        if self.prune_keep < 1:
-            raise ValueError(f"prune_keep must be >= 1, got {self.prune_keep}")
         if self.n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {self.n_workers}")
         if self.chunk_rows is not None and self.chunk_rows < 1:

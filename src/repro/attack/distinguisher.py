@@ -21,13 +21,14 @@ them one: a :class:`Distinguisher` exposes
 ``fit_step(label, traces, hw_labels)``
     profile one targeted step (no-op for unprofiled distinguishers).
 
-Because the extend-and-prune ladder, the prune phase, and the sign/
-exponent DEMA all consume this interface, every distinguisher inherits
-the PR-1 engine features for free: ``chunk_rows`` streams the scoring
-through O(chunk)-memory accumulators, the per-coefficient worker
-fan-out of :func:`repro.attack.key_recovery.recover_coefficients`
-ships a fitted distinguisher to each worker once, and progress arrives
-as structured :class:`~repro.attack.key_recovery.ProgressEvent`\\ s.
+The extend-and-prune ladder, the prune phase, and the sign/exponent
+DEMA all score through one loop, :func:`score_steps`, so every
+distinguisher inherits the engine features for free: ``chunk_rows``
+streams the scoring through O(chunk)-memory accumulators, the
+per-coefficient worker fan-out of
+:func:`repro.attack.key_recovery.recover_coefficients` ships a fitted
+distinguisher to each worker once, and progress arrives as structured
+:class:`~repro.attack.key_recovery.ProgressEvent`\\ s.
 
 ``exact`` marks whether the hypothesis matrix predicts the *full*
 intermediate (prune additions, exponents, sign) or only a masked
@@ -44,13 +45,14 @@ and :func:`profile_distinguisher` are the factory pair the engine uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import Callable, Protocol, runtime_checkable
 
 import numpy as np
 
 from repro.attack.config import KNOWN_DISTINGUISHERS, AttackConfig
 from repro.attack.cpa import CpaResult, run_cpa
+from repro.leakage.traceset import TraceSet
 from repro.obs import metrics
 from repro.obs.spans import span
 from repro.utils.registry import resolve_name
@@ -67,6 +69,7 @@ __all__ = [
     "DISTINGUISHERS",
     "make_distinguisher",
     "profile_distinguisher",
+    "score_steps",
     "ENGINE_PROFILED_LABELS",
 ]
 
@@ -351,6 +354,43 @@ def make_distinguisher(
 def distinguisher_from_config(config: AttackConfig) -> Distinguisher:
     """The distinguisher an :class:`AttackConfig` selects (unfitted)."""
     return make_distinguisher(config.distinguisher, chunk_rows=config.chunk_rows)
+
+
+#: One scored step: its trace-layout label and a builder
+#: ``(known_y, guesses) -> (D, G)`` hypothesis matrix.
+Step = tuple[str, Callable[[np.ndarray, np.ndarray], np.ndarray]]
+
+
+def score_steps(
+    traceset: TraceSet,
+    steps: list[Step],
+    guesses: np.ndarray,
+    distinguisher: Distinguisher | None = None,
+    *,
+    exact: bool = True,
+    signed: bool = False,
+) -> tuple[np.ndarray, list[ScoreResult]]:
+    """Score ``guesses`` at every step of every segment and sum the scores.
+
+    Segments are the outer loop and steps the inner one; the summed
+    scores and the per-call results come back in that order. ``exact``
+    says whether the builders predict the full intermediate (see the
+    module docstring); ``signed`` ranks on signed correlation. A missing
+    ``distinguisher`` is classic CPA.
+    """
+    dist = CpaDistinguisher() if distinguisher is None else distinguisher
+    layout = traceset.layout
+    total = np.zeros(len(guesses), dtype=np.float64)
+    results = []
+    for seg in traceset.segments:
+        for label, build in steps:
+            res = dist.score(
+                build(seg.known_y, guesses), seg.traces[:, layout.slice_of(label)],
+                guesses, label=label, signed=signed, exact=exact,
+            )
+            results.append(res)
+            total += res.scores
+    return total, results
 
 
 #: The steps the per-coefficient engine scores with *exact* (full-value)

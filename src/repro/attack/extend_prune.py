@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.attack.config import AttackConfig
 from repro.attack.cpa import CpaResult
+from repro.attack.distinguisher import Step, score_steps
 from repro.attack.hypotheses import hyp_s_hi, hyp_s_lo, hyp_s_mid, known_limbs
 from repro.attack.ladder import HIGH_LIMB_STEPS, LOW_LIMB_STEPS, LadderResult, ladder_limb
 from repro.attack.strawman import shift_aliases
@@ -34,7 +34,19 @@ from repro.obs.spans import span
 
 __all__ = ["MantissaRecovery", "recover_mantissa", "prune_candidates", "refine_limb"]
 
-_HIGH_MSB = 1 << 27  # implicit leading 1 of the 28-bit high limb
+_HIGH_BITS = 27  # unknown bits of the 28-bit high limb
+_HIGH_MSB = 1 << _HIGH_BITS  # its implicit leading 1
+
+#: The low limb's prune step: s_lo = (D*B >> 25) + D*A.
+LOW_PRUNE_STEPS: list[Step] = [("s_lo", lambda y, d: hyp_s_lo(*known_limbs(y), d))]
+
+
+def _high_prune_steps(low: int) -> list[Step]:
+    """The high limb's prune steps, s_mid and s_hi, given the low limb D."""
+    return [
+        ("s_mid", lambda y, c: hyp_s_mid(*known_limbs(y), low, c)),
+        ("s_hi", lambda y, c: hyp_s_hi(*known_limbs(y), low, c)),
+    ]
 
 
 def _with_shift_aliases(candidates: np.ndarray, width: int) -> np.ndarray:
@@ -85,52 +97,28 @@ class MantissaRecovery:
 def prune_candidates(
     traceset: TraceSet,
     candidates: np.ndarray,
-    hyp_builders: list,
-    step_labels: list[str],
-    use_both: bool,
-    chunk_rows: int | None = None,
+    steps: list[Step],
     distinguisher=None,
 ) -> tuple[np.ndarray, list[CpaResult]]:
     """Rank limb candidates on the intermediate additions.
 
-    ``hyp_builders[i](y_lo, y_hi, candidates)`` predicts the addition
-    value attacked at ``step_labels[i]``. Scores sum over segments and
-    addition steps. The additions carry the *full* limb value, so they
-    are scored ``exact=True`` — profiled distinguishers use their
-    fitted models here. Default distinguisher: classic CPA.
+    ``steps`` pairs each attacked addition's label with its hypothesis
+    builder; scores sum over segments and steps. The additions carry the
+    *full* limb value, so they are scored ``exact=True`` — profiled
+    distinguishers use their fitted models here.
     """
-    from repro.attack.distinguisher import CpaDistinguisher
-
-    dist = distinguisher or CpaDistinguisher(chunk_rows=chunk_rows)
-    layout = traceset.layout
-    segments = traceset.segments if use_both else traceset.segments[:1]
-    total = np.zeros(len(candidates), dtype=np.float64)
-    results: list[CpaResult] = []
-    for seg in segments:
-        y_lo, y_hi = known_limbs(seg.known_y)
-        for builder, label in zip(hyp_builders, step_labels):
-            hyp = builder(y_lo, y_hi, candidates)
-            res = dist.score(
-                hyp, seg.traces[:, layout.slice_of(label)], candidates,
-                label=label, exact=True,
-            )
-            results.append(res)
-            total += res.scores
-    return total, results
+    return score_steps(traceset, steps, candidates, distinguisher, exact=True)
 
 
 def refine_limb(
     traceset: TraceSet,
     initial: int,
     total_bits: int,
-    hyp_builders: list,
-    step_labels: list[str],
-    use_both: bool,
+    steps: list[Step],
     fixed: int = 0,
     window: int = 6,
     stride: int = 3,
     max_rounds: int = 16,
-    chunk_rows: int | None = None,
     distinguisher=None,
 ) -> tuple[int, float]:
     """Hill-climb a limb candidate on the addition-step correlations.
@@ -152,10 +140,7 @@ def refine_limb(
             for v in range(1 << wbits):
                 variants.add((base | (v << start)) | fixed)
         cands = np.array(sorted(variants), dtype=np.uint64)
-        scores, _ = prune_candidates(
-            traceset, cands, hyp_builders, step_labels, use_both,
-            chunk_rows=chunk_rows, distinguisher=distinguisher,
-        )
+        scores, _ = prune_candidates(traceset, cands, steps, distinguisher)
         top_idx = int(np.argmax(scores))
         top, top_score = int(cands[top_idx]), float(scores[top_idx])
         if top == best or top_score <= best_score + 1e-12:
@@ -165,120 +150,45 @@ def refine_limb(
     return best, best_score
 
 
-def recover_mantissa(
+def _recover_limb(
     traceset: TraceSet,
-    config: AttackConfig | None = None,
-    distinguisher=None,
-) -> MantissaRecovery:
+    limb: str,
+    ladder_steps: tuple[tuple[str, str], ...],
+    bits: int,
+    prune_steps: list[Step],
+    fixed: int,
+    distinguisher,
+) -> PhaseDiagnostics:
+    """Extend on the products, then prune and refine on the additions."""
+    with span("extend", limb=limb):
+        ladder = ladder_limb(traceset, ladder_steps, bits, distinguisher=distinguisher)
+    cands = np.unique(_with_shift_aliases(ladder.candidates, bits) | np.uint64(fixed))
+    metrics.inc("extend_prune.candidates", int(len(cands)))
+    with span("prune", limb=limb):
+        scores, results = prune_candidates(traceset, cands, prune_steps, distinguisher)
+        best = int(cands[int(np.argmax(scores))])
+        best, _ = refine_limb(
+            traceset, best, bits, prune_steps, fixed=fixed, distinguisher=distinguisher
+        )
+    return PhaseDiagnostics(
+        ladder=ladder, prune_results=results, prune_scores=scores, candidates=cands, best=best
+    )
+
+
+def recover_mantissa(traceset: TraceSet, distinguisher=None) -> MantissaRecovery:
     """Full extend-and-prune recovery of one coefficient's significand.
 
+    The low limb D comes first (extend on D*B / D*A, prune on s_lo);
+    the high limb C is then pruned on s_mid and s_hi, which need D.
     ``distinguisher`` is an optional fitted
     :class:`repro.attack.distinguisher.Distinguisher`; ``None`` selects
-    classic CPA with the config's ``chunk_rows``.
+    classic CPA.
     """
-    cfg = config or AttackConfig()
-
-    # ---- low limb: extend on D*B / D*A ---------------------------------
-    with span("extend", limb="low"):
-        low_ladder = ladder_limb(
-            traceset,
-            LOW_LIMB_STEPS,
-            total_bits=LOW_BITS,
-            window=cfg.window,
-            beam=cfg.beam,
-            keep=cfg.prune_keep,
-            use_both_segments=cfg.use_both_segments,
-            chunk_rows=cfg.chunk_rows,
-            distinguisher=distinguisher,
-        )
-    low_cands = _with_shift_aliases(low_ladder.candidates, LOW_BITS)
-    metrics.inc("extend_prune.candidates", int(len(low_cands)))
-    # ---- low limb: prune on s_lo ----------------------------------------
-    with span("prune", limb="low"):
-        low_scores, low_results = prune_candidates(
-            traceset,
-            low_cands,
-            [hyp_s_lo],
-            ["s_lo"],
-            cfg.use_both_segments,
-            chunk_rows=cfg.chunk_rows,
-            distinguisher=distinguisher,
-        )
-        low_best = int(low_cands[int(np.argmax(low_scores))])
-        low_best, _ = refine_limb(
-            traceset,
-            low_best,
-            LOW_BITS,
-            [hyp_s_lo],
-            ["s_lo"],
-            cfg.use_both_segments,
-            chunk_rows=cfg.chunk_rows,
-            distinguisher=distinguisher,
-        )
-    low_diag = PhaseDiagnostics(
-        ladder=low_ladder,
-        prune_results=low_results,
-        prune_scores=low_scores,
-        candidates=low_cands,
-        best=low_best,
+    low = _recover_limb(
+        traceset, "low", LOW_LIMB_STEPS, LOW_BITS, LOW_PRUNE_STEPS, 0, distinguisher
     )
-
-    # ---- high limb: extend on C*B / C*A ---------------------------------
-    with span("extend", limb="high"):
-        high_ladder = ladder_limb(
-            traceset,
-            HIGH_LIMB_STEPS,
-            total_bits=27,
-            window=cfg.window,
-            beam=cfg.beam,
-            keep=cfg.prune_keep,
-            use_both_segments=cfg.use_both_segments,
-            chunk_rows=cfg.chunk_rows,
-            distinguisher=distinguisher,
-        )
-    high_cands = _with_shift_aliases(high_ladder.candidates, 27) | np.uint64(_HIGH_MSB)
-    high_cands = np.unique(high_cands)
-    metrics.inc("extend_prune.candidates", int(len(high_cands)))
-    # ---- high limb: prune on s_mid and s_hi ------------------------------
-    with span("prune", limb="high"):
-        high_scores, high_results = prune_candidates(
-            traceset,
-            high_cands,
-            [
-                lambda y_lo, y_hi, c: hyp_s_mid(y_lo, y_hi, low_best, c),
-                lambda y_lo, y_hi, c: hyp_s_hi(y_lo, y_hi, low_best, c),
-            ],
-            ["s_mid", "s_hi"],
-            cfg.use_both_segments,
-            chunk_rows=cfg.chunk_rows,
-            distinguisher=distinguisher,
-        )
-        high_best = int(high_cands[int(np.argmax(high_scores))])
-        high_best, _ = refine_limb(
-            traceset,
-            high_best,
-            27,
-            [
-                lambda y_lo, y_hi, c: hyp_s_mid(y_lo, y_hi, low_best, c),
-                lambda y_lo, y_hi, c: hyp_s_hi(y_lo, y_hi, low_best, c),
-            ],
-            ["s_mid", "s_hi"],
-            cfg.use_both_segments,
-            fixed=_HIGH_MSB,
-            chunk_rows=cfg.chunk_rows,
-            distinguisher=distinguisher,
-        )
-    high_diag = PhaseDiagnostics(
-        ladder=high_ladder,
-        prune_results=high_results,
-        prune_scores=high_scores,
-        candidates=high_cands,
-        best=high_best,
+    high = _recover_limb(
+        traceset, "high", HIGH_LIMB_STEPS, _HIGH_BITS, _high_prune_steps(low.best),
+        _HIGH_MSB, distinguisher,
     )
-
-    return MantissaRecovery(
-        low_limb=low_best,
-        high_limb=high_best,
-        low=low_diag,
-        high=high_diag,
-    )
+    return MantissaRecovery(low_limb=low.best, high_limb=high.best, low=low, high=high)

@@ -123,7 +123,7 @@ def hyp_exp_biased(y_patterns: np.ndarray, guesses: np.ndarray) -> np.ndarray:
     )
 
 
-def hyp_exp_out(y_patterns: np.ndarray, guesses: np.ndarray, significand: int) -> np.ndarray:  # sast: declassify(reason=hypothesis engine enumerates candidate intermediates; operates on attacker guesses, not victim control flow)
+def hyp_exp_out(y_patterns: np.ndarray, guesses: np.ndarray, significand: int) -> np.ndarray:
     """HW of the result's biased exponent for guessed E_x.
 
     With the 53-bit significand already recovered, the product's

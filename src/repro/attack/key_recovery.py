@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.attack.config import AttackConfig
 from repro.attack.coefficient import CoefficientRecovery, recover_coefficient
+from repro.attack.sign_exp import fft_f_exponent_scale
 from repro.falcon.keygen import PublicKey, SecretKey, derive_secret_key
 from repro.falcon.ntru_solve import NtruSolveError, ntru_solve
 from repro.falcon.sign import Signature, sign
@@ -256,7 +257,7 @@ def repair_exponents(  # sast: declassify(reason=attacker-side exponent repair o
             f = mat @ v
         return choice, cost
 
-    def is_integral(choice: list[int]) -> bool:  # sast: declassify(reason=attacker-side lattice check on recovered candidates; runs after extraction)
+    def is_integral(choice: list[int]) -> bool:
         v = np.array([cand_vals[j][choice[j]] for j in range(n)])
         f = mat @ v
         return float(np.max(np.abs(f - np.round(f)))) < tol
@@ -350,10 +351,7 @@ def _filter_by_magnitude(patterns: list[int], params) -> list[int]:
     integral solutions where several doubles share one wrong
     power-of-two scale.
     """
-    import math
-
-    rms = math.sqrt(params.n / 2.0) * params.sigma_fg
-    center = 1023 + math.log2(rms)
+    center = fft_f_exponent_scale(params)
     kept = []
     for p in patterns:
         exp_field = (p >> 52) & 0x7FF

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.attack.distinguisher import Step, score_steps
 from repro.attack.hypotheses import hyp_product, known_limbs
 from repro.leakage.traceset import TraceSet
 
@@ -28,6 +29,14 @@ __all__ = ["LadderStage", "LadderResult", "ladder_limb"]
 #: (step label, which known limb multiplies the secret limb there)
 LOW_LIMB_STEPS = (("p_ll", "lo"), ("p_lh", "hi"))
 HIGH_LIMB_STEPS = (("p_hl", "lo"), ("p_hh", "hi"))
+
+#: Bits added per stage, survivors carried between stages, and
+#: candidates kept after the last stage. Each stage extends every
+#: survivor by all 2^WINDOW values of its next window; the paper instead
+#: enumerates the 2^25 / 2^27 limb spaces exhaustively on a workstation.
+WINDOW = 5
+BEAM = 32
+KEEP = 32
 
 
 @dataclass
@@ -53,55 +62,24 @@ class LadderResult:
         return int(self.candidates[0])
 
 
-def _segment_knowns(traceset: TraceSet, use_both: bool):
-    segs = traceset.segments if use_both else traceset.segments[:1]
-    out = []
-    for seg in segs:
-        y_lo, y_hi = known_limbs(seg.known_y)
-        out.append((seg, {"lo": y_lo, "hi": y_hi}))
-    return out
+def _product_step(label: str, which: str, mask_bits: int) -> Step:
+    """HW of the partial product at ``label``, masked to ``mask_bits``.
 
-
-def _score_candidates(
-    traceset: TraceSet,
-    steps: tuple[tuple[str, str], ...],
-    candidates: np.ndarray,
-    mask_bits: int | None,
-    use_both: bool,
-    chunk_rows: int | None = None,
-    distinguisher=None,
-) -> np.ndarray:
-    """Summed distinguisher scores over segments and extend steps.
-
-    Extend-phase hypotheses predict *masked* partial products (only the
-    low ``mask_bits`` of the intermediate), so they are scored with
-    ``exact=False`` — profiled distinguishers fall back to correlation
-    here, because a masked prediction cannot be aligned with full-value
-    HW classes.
+    A masked prediction cannot be aligned with full-value HW classes, so
+    the ladder scores with ``exact=False``: profiled distinguishers fall
+    back to correlation here.
     """
-    from repro.attack.distinguisher import CpaDistinguisher
-
-    dist = distinguisher or CpaDistinguisher(chunk_rows=chunk_rows)
-    layout = traceset.layout
-    total = np.zeros(len(candidates), dtype=np.float64)
-    for seg, knowns in _segment_knowns(traceset, use_both):
-        for label, which in steps:
-            hyp = hyp_product(knowns[which], candidates, mask_bits=mask_bits)
-            window = seg.traces[:, layout.slice_of(label)]
-            res = dist.score(hyp, window, candidates, label=label, exact=False)
-            total += res.scores
-    return total
+    limb = ("lo", "hi").index(which)
+    return label, lambda y, c: hyp_product(known_limbs(y)[limb], c, mask_bits=mask_bits)
 
 
-def ladder_limb(  # sast: declassify(reason=extend-and-prune ladder ranks attacker hypotheses; timing of this code is not part of the threat model)
+def ladder_limb(
     traceset: TraceSet,
     steps: tuple[tuple[str, str], ...],
     total_bits: int,
-    window: int = 5,
-    beam: int = 32,
-    keep: int = 32,
-    use_both_segments: bool = True,
-    chunk_rows: int | None = None,
+    window: int = WINDOW,
+    beam: int = BEAM,
+    keep: int = KEEP,
     distinguisher=None,
 ) -> LadderResult:
     """Recover candidates for one secret limb of ``total_bits`` bits."""
@@ -115,9 +93,9 @@ def ladder_limb(  # sast: declassify(reason=extend-and-prune ladder ranks attack
         ext = np.arange(1 << step_bits, dtype=np.uint64) << np.uint64(covered)
         cands = np.unique((survivors[:, None] | ext[None, :]).ravel())
         covered += step_bits
-        scores = _score_candidates(
-            traceset, steps, cands, covered, use_both_segments,
-            chunk_rows=chunk_rows, distinguisher=distinguisher,
+        scores, _ = score_steps(
+            traceset, [_product_step(label, which, covered) for label, which in steps],
+            cands, distinguisher, exact=False,
         )
         order = np.argsort(-scores, kind="stable")
         n_keep = keep if covered >= total_bits else beam

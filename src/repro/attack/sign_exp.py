@@ -27,10 +27,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.attack.cpa import CpaResult
+from repro.attack.distinguisher import score_steps
 from repro.attack.hypotheses import hyp_exp_biased, hyp_exp_out, hyp_exp_sum, hyp_sign
 from repro.leakage.traceset import TraceSet
 
-__all__ = ["SignRecovery", "ExponentRecovery", "recover_sign", "recover_exponent"]
+__all__ = [
+    "SignRecovery",
+    "ExponentRecovery",
+    "recover_sign",
+    "recover_exponent",
+    "fft_f_exponent_scale",
+    "EXPONENT_GUESSES",
+]
+
+#: Biased-exponent guesses [lo, hi) an FFT(f) coefficient can take. f has
+#: small integer coefficients (|f_i| <= 127), so |FFT(f)_k| lies within a
+#: few dozen octaves of 1. Guesses far outside that band are aliases of
+#: in-band values (their HW-vs-E_y profiles differ only by a constant
+#: over the narrow observed exponent window) and are physically
+#: impossible.
+EXPONENT_GUESSES = (963, 1084)
 
 
 @dataclass
@@ -83,88 +99,41 @@ class ExponentRecovery:
         return float(top2[1] - top2[0])
 
 
-def recover_sign(
-    traceset: TraceSet,
-    use_both_segments: bool = True,
-    chunk_rows: int | None = None,
-    distinguisher=None,
-) -> SignRecovery:
+def recover_sign(traceset: TraceSet, distinguisher=None) -> SignRecovery:
     """Recover s_x from the sign_out leakage.
 
     The sign hypotheses of the two guesses are exact complements, so
     correlation-style distinguishers must rank on *signed* correlation
     (the paper's symmetric-leakage rule); likelihood-based
     distinguishers are asymmetric by construction and need no special
-    casing — both go through ``score(..., signed=True)``.
+    casing — both are scored with ``signed=True``.
     """
-    from repro.attack.distinguisher import CpaDistinguisher
-
-    dist = distinguisher or CpaDistinguisher(chunk_rows=chunk_rows)
-    layout = traceset.layout
-    segments = traceset.segments if use_both_segments else traceset.segments[:1]
-    total = np.zeros(2, dtype=np.float64)
-    results = []
-    for seg in segments:
-        hyp = hyp_sign(seg.known_y)
-        res = dist.score(
-            hyp,
-            seg.traces[:, layout.slice_of("sign_out")],
-            np.array([0, 1]),
-            label="sign_out",
-            signed=True,
-            exact=True,
-        )
-        results.append(res)
-        total += res.scores
+    total, results = score_steps(
+        traceset, [("sign_out", lambda y, _g: hyp_sign(y))], np.array([0, 1]),
+        distinguisher, signed=True,
+    )
     return SignRecovery(bit=int(np.argmax(total)), results=results)
 
 
-def recover_exponent(  # sast: declassify(reason=attacker-side exponent recovery from observed leakage)
+def recover_exponent(
     traceset: TraceSet,
-    use_both_segments: bool = True,
-    guess_range: tuple[int, int] = (1, 2047),
+    guess_range: tuple[int, int] = EXPONENT_GUESSES,
     significand: int | None = None,
-    chunk_rows: int | None = None,
     distinguisher=None,
 ) -> ExponentRecovery:
-    """Recover the biased exponent E_x.
+    """Recover the biased exponent E_x from the guesses in ``guess_range``.
 
-    Always correlates the raw exponent sum (``exp_sum``). When the
-    53-bit ``significand`` recovered by the mantissa attack is supplied,
-    additionally correlates the exactly-predicted output exponent
-    (``exp_out``), which carries far more guess-separating variation.
+    Always correlates the raw exponent sum (``exp_sum``) and the rebiased
+    word (``exp_biased``). When the 53-bit ``significand`` recovered by
+    the mantissa attack is supplied, additionally correlates the
+    exactly-predicted output exponent (``exp_out``), which carries far
+    more guess-separating variation.
     """
-    from repro.attack.distinguisher import CpaDistinguisher
-
-    dist = distinguisher or CpaDistinguisher(chunk_rows=chunk_rows)
-    layout = traceset.layout
     guesses = np.arange(guess_range[0], guess_range[1], dtype=np.uint64)
-    segments = traceset.segments if use_both_segments else traceset.segments[:1]
-    total = np.zeros(len(guesses), dtype=np.float64)
-    results = []
-    for seg in segments:
-        hyp = hyp_exp_sum(seg.known_y, guesses)
-        res = dist.score(
-            hyp, seg.traces[:, layout.slice_of("exp_sum")], guesses,
-            label="exp_sum", exact=True,
-        )
-        results.append(res)
-        total += res.scores
-        hyp_b = hyp_exp_biased(seg.known_y, guesses)
-        res_b = dist.score(
-            hyp_b, seg.traces[:, layout.slice_of("exp_biased")], guesses,
-            label="exp_biased", exact=True,
-        )
-        results.append(res_b)
-        total += res_b.scores
-        if significand is not None:
-            hyp_out = hyp_exp_out(seg.known_y, guesses, significand)
-            res_out = dist.score(
-                hyp_out, seg.traces[:, layout.slice_of("exp_out")], guesses,
-                label="exp_out", exact=True,
-            )
-            results.append(res_out)
-            total += res_out.scores
+    steps = [("exp_sum", hyp_exp_sum), ("exp_biased", hyp_exp_biased)]
+    if significand is not None:
+        steps.append(("exp_out", lambda y, g: hyp_exp_out(y, g, significand)))
+    total, results = score_steps(traceset, steps, guesses, distinguisher)
     # Guesses whose exponent offsets are multiples of 16/32/64 can tie
     # *exactly* (their HW-vs-E_y profiles differ by a constant over the
     # narrow observed window). Break exact ties toward the physically
@@ -182,20 +151,24 @@ def recover_exponent(  # sast: declassify(reason=attacker-side exponent recovery
     )
 
 
-def _expected_exponent_center(traceset: TraceSet) -> int:
-    """Biased exponent of the RMS FFT(f) double for this parameter set.
+def fft_f_exponent_scale(params) -> float:
+    """1023 + log2 of the RMS magnitude of an FFT(f) double.
 
     Re/Im parts of an FFT slot of f have variance n * sigma_fg^2 / 2;
     both n and sigma_fg are public parameters.
     """
+    return 1023 + math.log2(math.sqrt(params.n / 2.0) * params.sigma_fg)
+
+
+def _expected_exponent_center(traceset: TraceSet) -> int:
+    """Biased exponent of the RMS FFT(f) double for this parameter set."""
     n = traceset.meta.get("n") if traceset.meta else None
     if not n:
         return 1023 + 5
     from repro.falcon.params import FalconParams
 
     try:
-        sigma_fg = FalconParams.get(int(n)).sigma_fg
+        params = FalconParams.get(int(n))
     except ValueError:
         return 1023 + 5
-    rms = math.sqrt(n / 2.0) * sigma_fg
-    return 1023 + int(round(math.log2(rms)))
+    return round(fft_f_exponent_scale(params))

@@ -24,7 +24,7 @@ from repro.leakage.traceset import TraceSet
 __all__ = ["shift_aliases", "straightforward_mantissa_attack", "StrawmanResult"]
 
 
-def shift_aliases(value: int, width: int) -> list[int]:  # sast: declassify(reason=attacker-side alias enumeration over candidate values)
+def shift_aliases(value: int, width: int) -> list[int]:
     """All left/right shifts of ``value`` representable in ``width`` bits.
 
     These are the false-positive companions of a multiplication-only
@@ -57,7 +57,7 @@ class StrawmanResult:
         return len(self.tied_top) > 1
 
 
-def straightforward_mantissa_attack(  # sast: declassify(reason=baseline attack scores attacker hypotheses against captured traces)
+def straightforward_mantissa_attack(
     traceset: TraceSet,
     guesses: np.ndarray,
     true_limb: int | None = None,

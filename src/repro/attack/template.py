@@ -91,7 +91,7 @@ class HwTemplates:
         return out
 
 
-def build_templates(  # sast: declassify(reason=template profiling consumes labeled leakage from the profiling device by design)
+def build_templates(
     traces: np.ndarray, hw_labels: np.ndarray, min_class_size: int = 4
 ) -> HwTemplates:
     """Profile Gaussian templates from labelled traces.

@@ -152,7 +152,7 @@ def exp_biased(ex: UInt, ey: UInt) -> UInt:
     return (ex + ey - _U(EXP_REBIAS)) & _U(0xFFFFFFFF)
 
 
-def step_values(x: NDArray[Any] | int, y: NDArray[Any]) -> NDArray[np.uint64]:  # sast: declassify(reason=leakage model of fpr multiply intermediates; consumes the secret operand by design)
+def step_values(x: NDArray[Any] | int, y: NDArray[Any]) -> NDArray[np.uint64]:
     """(D, S) step-value matrix of x * y, one column per MUL_STEP_LABELS entry.
 
     ``y`` is a (D,) array of known operand patterns; ``x`` is a scalar

@@ -129,7 +129,8 @@ def declassify_watch_sites(project: Project) -> dict[str, dict[str, Any]]:
     """Watchable locations for every declassify annotation.
 
     A function-scoped declassify (annotation on the ``def`` line) is
-    considered live when the function body's first statement executes;
+    considered live when the function body's first statement executes
+    (the one after the docstring: a docstring never emits a line event);
     an inline declassify is live when its own line executes.
     """
     out: dict[str, dict[str, Any]] = {}
@@ -138,10 +139,13 @@ def declassify_watch_sites(project: Project) -> dict[str, dict[str, Any]]:
         def_lines: set[int] = set()
         for info in mod.functions:
             if info.declassify is not None and info.node.body:
+                body = info.node.body
+                if len(body) > 1 and ast.get_docstring(info.node, clean=False) is not None:
+                    body = body[1:]
                 def_lines.add(info.node.lineno)
                 out[f"{rel}:{info.node.lineno}"] = {
                     "rel": rel,
-                    "watch_line": info.node.body[0].lineno,
+                    "watch_line": body[0].lineno,
                     "scope": "function",
                     "name": info.qualname,
                 }
@@ -315,11 +319,13 @@ def _run_workload(seed: str, n: int) -> None:  # sast: declassify(reason=oracle 
     from repro.falcon.keygen import keygen
     from repro.falcon.ntru_solve import reduce_fg
     from repro.falcon.params import FalconParams
+    from repro.falcon.samplerz import samplerz_trace
     from repro.falcon.sign import sign
     from repro.falcon.verify import verify
     from repro.fpr import emu
     from repro.fpr import trace as fpr_trace
     from repro.math import ntt
+    from repro.utils.rng import ChaCha20Prng
 
     from repro.countermeasures.workload import run_ct_workload, run_masked_workload
 
@@ -331,6 +337,9 @@ def _run_workload(seed: str, n: int) -> None:  # sast: declassify(reason=oracle 
         raise RuntimeError("oracle workload: signature failed to verify")
     if codec.decode_secret_key(codec.encode_secret_key(sk)).f != sk.f:
         raise RuntimeError("oracle workload: secret-key codec round-trip drifted")
+
+    # the samplerz surface's instrumented sampler, centred on a key value
+    samplerz_trace(sk.f[0] / 2.0, params.sigmin, params.sigmin, ChaCha20Prng("oracle-samplerz"))
 
     # degree-1 NTT base cases and the Babai underflow branch (extra < 0,
     # hit when (F, G) is already shorter than the scaled-up (f, g))

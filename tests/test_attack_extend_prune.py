@@ -6,13 +6,20 @@ phase prunes them; the combination recovers sign, exponent, and the full
 52-bit mantissa of a FALCON FFT(f) coefficient.
 """
 
+from dataclasses import dataclass, field
+
 import numpy as np
 import pytest
 
 from repro.attack.coefficient import recover_coefficient
 from repro.attack.config import AttackConfig
-from repro.attack.extend_prune import prune_candidates, recover_mantissa, refine_limb
-from repro.attack.hypotheses import hyp_s_lo
+from repro.attack.distinguisher import ENGINE_PROFILED_LABELS, CpaDistinguisher
+from repro.attack.extend_prune import (
+    LOW_PRUNE_STEPS,
+    prune_candidates,
+    recover_mantissa,
+    refine_limb,
+)
 from repro.attack.ladder import LOW_LIMB_STEPS, ladder_limb
 from repro.attack.sign_exp import recover_exponent, recover_sign
 from repro.falcon import FalconParams, keygen
@@ -48,11 +55,22 @@ class TestAttackConfig:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            AttackConfig(window=0)
+            AttackConfig(n_workers=0)
         with pytest.raises(ValueError):
-            AttackConfig(beam=0)
+            AttackConfig(chunk_rows=0)
         with pytest.raises(ValueError):
-            AttackConfig(prune_keep=0)
+            AttackConfig(profiling_traces=0)
+        with pytest.raises(ValueError):
+            AttackConfig(profiling_targets=0)
+        with pytest.raises(ValueError, match="unknown distinguisher"):
+            AttackConfig(distinguisher="bogus")
+
+    @pytest.mark.parametrize(
+        "name", ("window", "beam", "prune_keep", "use_both_segments", "exponent_guesses")
+    )
+    def test_search_widths_are_not_knobs(self, name):
+        with pytest.raises(TypeError):
+            AttackConfig(**{name: 1})
 
 
 class TestLadder:
@@ -104,33 +122,33 @@ class TestPrune:
         if d % 2 == 0:
             aliases.append(d // 2)
         cands = np.array(sorted(set(aliases)), dtype=np.uint64)
-        scores, results = prune_candidates(ts0, cands, [hyp_s_lo], ["s_lo"], True)
+        scores, results = prune_candidates(ts0, cands, LOW_PRUNE_STEPS)
         assert int(cands[int(np.argmax(scores))]) == d
         assert len(results) == 2  # two segments, one step each
 
     def test_refine_stays_at_truth(self, ts0):
         parts = true_parts(ts0)
-        refined, _ = refine_limb(ts0, parts["lo"], LOW_BITS, [hyp_s_lo], ["s_lo"], True)
+        refined, _ = refine_limb(ts0, parts["lo"], LOW_BITS, LOW_PRUNE_STEPS)
         assert refined == parts["lo"]
 
     def test_refine_repairs_single_window_error(self, ts0):
         parts = true_parts(ts0)
         corrupted = parts["lo"] ^ 0b11000  # flip two bits in one window
-        refined, _ = refine_limb(ts0, corrupted, LOW_BITS, [hyp_s_lo], ["s_lo"], True)
+        refined, _ = refine_limb(ts0, corrupted, LOW_BITS, LOW_PRUNE_STEPS)
         assert refined == parts["lo"]
 
 
 class TestMantissaRecovery:
     def test_recovers_both_limbs(self, ts0):
         parts = true_parts(ts0)
-        rec = recover_mantissa(ts0, AttackConfig())
+        rec = recover_mantissa(ts0)
         assert rec.low_limb == parts["lo"]
         assert rec.high_limb == parts["hi"]
         assert rec.significand == parts["sig"]
         assert rec.mantissa_field == parts["sig"] & ((1 << 52) - 1)
 
     def test_diagnostics_exposed(self, ts0):
-        rec = recover_mantissa(ts0, AttackConfig())
+        rec = recover_mantissa(ts0)
         assert len(rec.low.ladder.stages) == 5
         assert len(rec.low.prune_results) >= 1
         assert rec.high.best == rec.high_limb
@@ -166,7 +184,34 @@ class TestSignExponent:
             assert f"best_guess={res.best_guess}" in repr(res)
 
 
+@dataclass(repr=False)
+class RecordingCpa(CpaDistinguisher):
+    """Classic CPA that logs (label, exact, signed) for every score call."""
+
+    calls: list = field(default_factory=list)
+
+    def score(self, hyp, window, guesses, *, label=None, signed=False, exact=True):
+        self.calls.append((label, exact, signed))
+        return super().score(hyp, window, guesses, label=label, signed=signed, exact=exact)
+
+
 class TestCoefficientRecovery:
+    def test_every_step_reaches_the_supplied_distinguisher(self, ts0):
+        dist = RecordingCpa()
+        rec = recover_coefficient(ts0, distinguisher=dist)
+        assert rec.mantissa.mantissa_field == ts0.true_secret & ((1 << 52) - 1)
+        flags: dict[str, set] = {}
+        for label, exact, signed in dist.calls:
+            flags.setdefault(label, set()).add((exact, signed))
+        products = {"p_ll", "p_lh", "p_hl", "p_hh"}
+        assert set(flags) == products | set(ENGINE_PROFILED_LABELS)
+        assert len(flags) == 11
+        for label, seen in flags.items():
+            exact = label not in products
+            assert seen == {(exact, label == "sign_out")}, label
+        exact_labels = {label for label, exact, _ in dist.calls if exact}
+        assert exact_labels == set(ENGINE_PROFILED_LABELS)
+
     def test_full_coefficient(self, ts0):
         rec = recover_coefficient(ts0, AttackConfig())
         parts = true_parts(ts0)
@@ -183,5 +228,5 @@ class TestCoefficientRecovery:
             sk=sk, n_traces=300, device=DeviceModel(noise_sigma=120.0, seed=6)
         )
         ts = noisy.capture(0)
-        rec = recover_mantissa(ts, AttackConfig())
+        rec = recover_mantissa(ts)
         assert rec.mantissa_field != ts.true_secret & ((1 << 52) - 1)
