@@ -5,10 +5,10 @@ per coefficient, recover every FFT(f) double via extend-and-prune DEMA,
 invert the FFT, complete the NTRU key from the public key, and forge a
 signature that the victim's genuine public key accepts.
 
-Also benchmarks the parallel streaming engine: per-coefficient fan-out
-over worker processes must be bit-identical to the serial path (every
-target derives its own seeds), and the chunked Pearson accumulator must
-reproduce the one-shot correlation matrices.
+Also benchmarks the parallel engine: per-coefficient fan-out over
+worker processes must be bit-identical to the serial path (every target
+derives its own seeds), and Pearson row blocks (``chunk_rows``) must
+recover the same patterns as one block.
 """
 
 import os
@@ -181,8 +181,8 @@ def test_step_engine_throughput():
 
 
 def test_streaming_cpa_matches_one_shot(victim):
-    """chunk_rows streams every CPA through the raw-moment accumulator;
-    the recovered patterns must not change."""
+    """chunk_rows sums every CPA's moments over row blocks; the
+    recovered patterns must not change."""
     sk, _ = victim
     campaign = CaptureCampaign(
         sk=sk, n_traces=THROUGHPUT_TRACES, device=DeviceModel(), seed=2021

@@ -37,7 +37,7 @@ def main() -> None:
     parser.add_argument("--progress", action="store_true", help="per-coefficient log")
     parser.add_argument(
         "--distinguisher", type=str, default="cpa",
-        choices=("cpa", "template", "mlp", "second-order", "strawman"),
+        choices=("cpa", "template", "mlp", "second-order"),
         help="statistical engine for every recovery step",
     )
     parser.add_argument(

@@ -4,8 +4,10 @@
 One run exercises the 2-worker fan-out, a materialized campaign store,
 and a checkpointed session resume for a single leakage surface —
 catching pickling, per-target seeding, shard layout, and fingerprint
-regressions in one pass. CI fans this script over the registered
-surfaces (``make smoke SMOKE_TARGET=...``).
+regressions in one pass. Every correlation runs with
+``chunk_rows=4096``, so the 6000-trace runs sum the Pearson moments over
+two row blocks. CI fans this script over the registered surfaces
+(``make smoke SMOKE_TARGET=...``).
 
 The success criterion is surface-dependent: ``fpr-mul`` must rebuild the
 signing key and forge a verifying signature; transcript surfaces like
@@ -36,7 +38,7 @@ def main(argv: list[str] | None = None) -> int:
                     help="override the per-surface default trace budget")
     args = ap.parse_args(argv)
 
-    from repro.attack import full_attack
+    from repro.attack import AttackConfig, full_attack
     from repro.falcon import FalconParams, keygen
     from repro.leakage import CampaignStore
     from repro.targets import get_target
@@ -52,7 +54,7 @@ def main(argv: list[str] | None = None) -> int:
         sk, pk = keygen(FalconParams.get(8), seed=b"verify")
         kwargs = dict(
             n_traces=n_traces, n_workers=2, message=b"verify smoke",
-            target=args.target, session=sess,
+            target=args.target, session=sess, config=AttackConfig(chunk_rows=4096),
         )
         r = full_attack(sk, pk, store=store, **kwargs)
         print(r.summary())

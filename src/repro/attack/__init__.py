@@ -20,13 +20,13 @@ Layered as in Section III of the paper:
   and signature forgery.
 * :mod:`repro.attack.pipeline` — the end-to-end campaign driver.
 * :mod:`repro.attack.distinguisher` — the unified scoring protocol all
-  five statistical engines (CPA, templates, MLP, second-order,
-  strawman) implement; selected via ``AttackConfig.distinguisher``.
+  four statistical engines (CPA, templates, MLP, second-order)
+  implement; selected via ``AttackConfig.distinguisher``.
 * :mod:`repro.attack.session` — resumable attack sessions with atomic
   per-coefficient checkpoints.
 """
 
-from repro.attack.cpa import CpaResult, run_cpa, significance_threshold
+from repro.attack.cpa import CpaResult, run_cpa
 from repro.attack.config import AttackConfig
 from repro.attack.extend_prune import recover_mantissa, MantissaRecovery
 from repro.attack.sign_exp import recover_sign, recover_exponent
@@ -51,7 +51,6 @@ from repro.attack.distinguisher import (
     Distinguisher,
     MlDistinguisher,
     SecondOrderDistinguisher,
-    StrawmanDistinguisher,
     TemplateDistinguisher,
     make_distinguisher,
     profile_distinguisher,
@@ -61,7 +60,6 @@ from repro.attack.session import AttackSession, SessionError
 __all__ = [
     "CpaResult",
     "run_cpa",
-    "significance_threshold",
     "AttackConfig",
     "recover_mantissa",
     "MantissaRecovery",
@@ -93,7 +91,6 @@ __all__ = [
     "TemplateDistinguisher",
     "MlDistinguisher",
     "SecondOrderDistinguisher",
-    "StrawmanDistinguisher",
     "DISTINGUISHERS",
     "make_distinguisher",
     "profile_distinguisher",

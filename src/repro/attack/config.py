@@ -11,7 +11,7 @@ __all__ = ["AttackConfig", "KNOWN_DISTINGUISHERS"]
 #: Names the distinguisher registry guarantees (kept here, not in
 #: :mod:`repro.attack.distinguisher`, so config validation needs no
 #: import of the engine it configures).
-KNOWN_DISTINGUISHERS = ("cpa", "template", "mlp", "second-order", "strawman")
+KNOWN_DISTINGUISHERS = ("cpa", "template", "mlp", "second-order")
 
 
 @dataclass(frozen=True)
@@ -21,19 +21,21 @@ class AttackConfig:
     ``n_workers`` fans the per-coefficient attacks of
     :func:`repro.attack.key_recovery.recover_full_key` out over a
     process pool (1 = serial in-process; results are bit-identical either
-    way because every target derives its own seeds). ``chunk_rows``
-    switches every CPA in the attack to the streaming accumulator with
-    that batch size; ``None`` keeps the one-shot matrix path. It reaches
-    the scoring through the distinguisher the config builds.
+    way because every target derives its own seeds). ``chunk_rows`` is
+    the row-block size of the Pearson kernel
+    (:func:`repro.utils.stats.batched_pearson`): every correlation sums
+    its moments over blocks of that many traces, and ``None`` is one
+    block of all of them. It bounds the float64 copy of the traces and
+    changes scores only by float64 summation order. It reaches the
+    scoring through the distinguisher the config builds.
 
     ``distinguisher`` selects the statistical engine every recovery step
     scores guesses with (see :mod:`repro.attack.distinguisher`):
     ``"cpa"`` (default, the paper's Pearson correlation),
     ``"template"`` / ``"mlp"`` (the Section V-A profiled extensions —
     these trigger a profiling phase on a fresh adversary key controlled
-    by the ``profiling_*`` knobs), ``"second-order"`` (the Section V-B
-    centered-product attack; needs share-pair captures) and
-    ``"strawman"`` (the Section III-B multiplication-only baseline).
+    by the ``profiling_*`` knobs) and ``"second-order"`` (the Section V-B
+    centered-product attack; needs share-pair captures).
 
     The search widths are module constants, not knobs: the ladder's
     ``WINDOW``/``BEAM``/``KEEP`` (:mod:`repro.attack.ladder`) and the

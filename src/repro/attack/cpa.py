@@ -13,14 +13,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.obs import metrics
-from repro.utils.stats import batched_pearson, fisher_z_threshold, streaming_pearson
+from repro.utils.stats import batched_pearson, fisher_z_threshold
 
-__all__ = ["CpaResult", "run_cpa", "significance_threshold", "combine_scores"]
-
-
-def significance_threshold(n_traces: int, confidence: float = 0.9999) -> float:
-    """|r| needed for significance — the dashed line in the paper's Fig. 4."""
-    return fisher_z_threshold(n_traces, confidence)
+__all__ = ["CpaResult", "run_cpa"]
 
 
 @dataclass
@@ -58,15 +53,9 @@ class CpaResult:
     def best_guess(self) -> int:
         return int(self.guesses[self.ranking[0]])
 
-    @property
-    def best_sample(self) -> int:
-        """Sample index where the best guess peaks (the leakiest point)."""
-        g = self.ranking[0]
-        row = self.corr[g] if self.signed else np.abs(self.corr[g])
-        return int(np.argmax(row))
-
     def threshold(self, confidence: float = 0.9999) -> float:
-        return significance_threshold(self.n_traces, confidence)
+        """|r| needed for significance — the dashed line in the paper's Fig. 4."""
+        return fisher_z_threshold(self.n_traces, confidence)
 
     def significant_guesses(self, confidence: float = 0.9999) -> np.ndarray:
         """Guess values whose peak score crosses the confidence bound.
@@ -92,24 +81,19 @@ def run_cpa(
 ) -> CpaResult:
     """Correlate a (D, G) hypothesis matrix against (D, T) traces.
 
-    ``chunk_rows`` switches to the streaming accumulator: the correlation
-    is built from raw-moment sums over ``chunk_rows``-trace batches, so
-    the traces are cast to float64 one chunk at a time. Results agree
-    with the one-shot path to float64 summation-order error.
+    ``chunk_rows`` is the row-block size of
+    :func:`repro.utils.stats.batched_pearson`: the traces are cast to
+    float64 one block at a time (``None`` is one block of all rows).
 
     ``n_traces`` on the result is the row count actually correlated —
     after any per-segment filtering upstream — so the Fisher-z
     significance bound always matches the data that produced the
     correlations.
     """
-    hypotheses = np.asarray(hypotheses)
     traces = np.asarray(traces)
+    corr = batched_pearson(hypotheses, traces, chunk_rows=chunk_rows)
     if chunk_rows is not None:
-        corr = streaming_pearson(hypotheses, traces, chunk_rows=chunk_rows)
-        metrics.inc("cpa.chunks_streamed", -(-traces.shape[0] // max(chunk_rows, 1)))
-    else:
-        corr = batched_pearson(hypotheses, traces)
-    metrics.inc("cpa.score_calls", 1)
+        metrics.inc("cpa.chunks_streamed", -(-traces.shape[0] // chunk_rows))
     metrics.inc("cpa.rows_correlated", int(traces.shape[0]))
     return CpaResult(
         guesses=np.asarray(guesses),
@@ -118,19 +102,3 @@ def run_cpa(
         signed=signed,
     )
 
-
-def combine_scores(results: list[CpaResult]) -> np.ndarray:
-    """Combine per-segment CPA scores for the same guess vector.
-
-    Segments are statistically independent acquisitions of the same
-    secret (different known operands), so their Fisher-z statistics add;
-    summing the (small) correlations is the first-order equivalent and is
-    what we rank on.
-    """
-    if not results:
-        raise ValueError("no CPA results to combine")
-    first = results[0].guesses
-    for r in results[1:]:
-        if not np.array_equal(r.guesses, first):
-            raise ValueError("segments ranked over different guess vectors")
-    return np.sum([r.scores for r in results], axis=0)

@@ -6,8 +6,7 @@ window of measured samples, which guess explains the measurements best?
 The paper's classic CPA answers it with Pearson correlation; the
 Section V-A extensions answer it with profiled Gaussian templates or an
 MLP classifier; the Section V-B counter-countermeasure answers it with
-CPA on a centered product of two share windows; the Section III-B
-strawman is CPA restricted to the (shift-aliased) multiplication step.
+CPA on a centered product of two share windows.
 
 Historically each of those had a one-off interface. This module gives
 them one: a :class:`Distinguisher` exposes
@@ -24,8 +23,9 @@ them one: a :class:`Distinguisher` exposes
 The extend-and-prune ladder, the prune phase, and the sign/exponent
 DEMA all score through one loop, :func:`score_steps`, so every
 distinguisher inherits the engine features for free: ``chunk_rows``
-streams the scoring through O(chunk)-memory accumulators, the
-per-coefficient worker fan-out of
+sets the row-block size of the one Pearson kernel
+(:func:`repro.utils.stats.batched_pearson`) and of the profiled
+scorers' row loop, the per-coefficient worker fan-out of
 :func:`repro.attack.key_recovery.recover_coefficients` ships a fitted
 distinguisher to each worker once, and progress arrives as structured
 :class:`~repro.attack.key_recovery.ProgressEvent`\\ s.
@@ -51,18 +51,17 @@ from typing import Callable, Protocol, runtime_checkable
 import numpy as np
 
 from repro.attack.config import KNOWN_DISTINGUISHERS, AttackConfig
-from repro.attack.cpa import CpaResult, run_cpa
+from repro.attack.cpa import run_cpa
+from repro.attack.second_order import centered_product
 from repro.leakage.traceset import TraceSet
 from repro.obs import metrics
 from repro.obs.spans import span
 from repro.utils.registry import resolve_name
-from repro.utils.stats import OnlineMoments, PearsonAccumulator
 
 __all__ = [
     "ScoreResult",
     "Distinguisher",
     "CpaDistinguisher",
-    "StrawmanDistinguisher",
     "TemplateDistinguisher",
     "MlDistinguisher",
     "SecondOrderDistinguisher",
@@ -139,8 +138,8 @@ class Distinguisher:
 class CpaDistinguisher(Distinguisher):
     """The paper's Eq.-1 Pearson-correlation distinguisher.
 
-    ``chunk_rows`` streams the correlation through the raw-moment
-    accumulator exactly as :func:`repro.attack.cpa.run_cpa` does.
+    ``chunk_rows`` is the row-block size handed to
+    :func:`repro.attack.cpa.run_cpa`.
     """
 
     chunk_rows: int | None = None
@@ -148,20 +147,6 @@ class CpaDistinguisher(Distinguisher):
 
     def score(self, hyp, window, guesses, *, label=None, signed=False, exact=True):
         return run_cpa(hyp, window, guesses, signed=signed, chunk_rows=self.chunk_rows)
-
-
-@dataclass(repr=False)
-class StrawmanDistinguisher(CpaDistinguisher):
-    """The Section III-B baseline: CPA that only ever sees products.
-
-    Scoring is identical to classic CPA — the strawman's defect is
-    *where* it looks (multiplication outputs, whose HW is shift
-    invariant), not how it ranks. It exists as a named engine citizen so
-    the false-positive studies (``repro.attack.strawman``, the Fig. 4c
-    bench) ride the same streaming/fan-out machinery as everything else.
-    """
-
-    name = "strawman"
 
 
 def _gather_scores(
@@ -238,7 +223,6 @@ class _ProfiledBank(Distinguisher):
             total += _gather_scores(ll, classes, hyp[lo : lo + chunk])
             if self.chunk_rows:
                 metrics.inc("cpa.chunks_streamed", 1)
-        metrics.inc("cpa.score_calls", 1)
         metrics.inc("cpa.rows_correlated", int(window.shape[0]))
         return ProfiledScore(guesses=guesses, scores=total)
 
@@ -288,10 +272,8 @@ class SecondOrderDistinguisher(Distinguisher):
     The window must hold the two share leakages side by side —
     ``(D, 2S)`` with share 1 in the first S columns and share 2 in the
     last S. Scoring combines them with the Prouff-Rivain-Bevan centered
-    product and runs ordinary CPA on the result. With ``chunk_rows``
-    the combination streams in two passes (global share means first,
-    then product chunks into the raw-moment accumulator), so the
-    combined trace matrix never materializes.
+    product and runs ordinary CPA on the result, ``chunk_rows`` rows at a
+    time.
     """
 
     chunk_rows: int | None = None
@@ -305,31 +287,9 @@ class SecondOrderDistinguisher(Distinguisher):
                 "capture both shares (or select a first-order distinguisher)"
             )
         s = window.shape[1] // 2
-        share1, share2 = window[:, :s], window[:, s:]
-        if self.chunk_rows is None:
-            from repro.attack.second_order import centered_product
-
-            return run_cpa(hyp, centered_product(share1, share2), guesses, signed=signed)
-        hyp = np.asarray(hyp)
-        moments1, moments2 = OnlineMoments(), OnlineMoments()
-        for lo in range(0, window.shape[0], self.chunk_rows):
-            moments1.update(share1[lo : lo + self.chunk_rows])
-            moments2.update(share2[lo : lo + self.chunk_rows])
-        m1, m2 = moments1.mean, moments2.mean
-        acc = PearsonAccumulator()
-        for lo in range(0, window.shape[0], self.chunk_rows):
-            combined = (share1[lo : lo + self.chunk_rows] - m1) * (
-                share2[lo : lo + self.chunk_rows] - m2
-            )
-            acc.update(hyp[lo : lo + self.chunk_rows], combined)
-            metrics.inc("cpa.chunks_streamed", 1)
-        metrics.inc("cpa.score_calls", 1)
-        metrics.inc("cpa.rows_correlated", int(window.shape[0]))
-        return CpaResult(
-            guesses=np.asarray(guesses),
-            corr=acc.correlation(),
-            n_traces=window.shape[0],
-            signed=signed,
+        return run_cpa(
+            hyp, centered_product(window[:, :s], window[:, s:]), guesses,
+            signed=signed, chunk_rows=self.chunk_rows,
         )
 
 
@@ -338,7 +298,6 @@ DISTINGUISHERS: dict[str, type] = {
     "template": TemplateDistinguisher,
     "mlp": MlDistinguisher,
     "second-order": SecondOrderDistinguisher,
-    "strawman": StrawmanDistinguisher,
 }
 assert set(DISTINGUISHERS) == set(KNOWN_DISTINGUISHERS)
 

@@ -29,7 +29,6 @@ from repro.attack.ladder import HIGH_LIMB_STEPS, LOW_LIMB_STEPS, LadderResult, l
 from repro.attack.strawman import shift_aliases
 from repro.fpr.trace import LOW_BITS
 from repro.leakage.traceset import TraceSet
-from repro.obs import metrics
 from repro.obs.spans import span
 
 __all__ = ["MantissaRecovery", "recover_mantissa", "prune_candidates", "refine_limb"]
@@ -163,7 +162,6 @@ def _recover_limb(
     with span("extend", limb=limb):
         ladder = ladder_limb(traceset, ladder_steps, bits, distinguisher=distinguisher)
     cands = np.unique(_with_shift_aliases(ladder.candidates, bits) | np.uint64(fixed))
-    metrics.inc("extend_prune.candidates", int(len(cands)))
     with span("prune", limb=limb):
         scores, results = prune_candidates(traceset, cands, prune_steps, distinguisher)
         best = int(cands[int(np.argmax(scores))])

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.attack.cpa import CpaResult
+from repro.attack.cpa import CpaResult, run_cpa
 
 __all__ = ["centered_product", "second_order_cpa"]
 
@@ -41,7 +41,6 @@ def second_order_cpa(
     share2: np.ndarray,
     hypotheses: np.ndarray,
     guesses: np.ndarray,
-    chunk_rows: int | None = None,
 ) -> CpaResult:
     """CPA on the centered product of the two share leakages.
 
@@ -49,17 +48,7 @@ def second_order_cpa(
     *unmasked* intermediate; under HW leakage of both shares, the
     centered product correlates (negatively, with magnitude shrinking in
     the noise squared) with HW(v) — the distinguisher works unchanged.
-
-    Thin wrapper over
-    :class:`repro.attack.distinguisher.SecondOrderDistinguisher`, which
-    owns the (optionally streaming, via ``chunk_rows``) combine+CPA.
+    :class:`repro.attack.distinguisher.SecondOrderDistinguisher` scores
+    the same way from a side-by-side share window.
     """
-    from repro.attack.distinguisher import SecondOrderDistinguisher
-
-    a = np.atleast_2d(np.asarray(share1, dtype=np.float64).T).T
-    b = np.atleast_2d(np.asarray(share2, dtype=np.float64).T).T
-    if a.shape != b.shape:
-        raise ValueError(f"share shapes differ: {a.shape} vs {b.shape}")
-    window = np.concatenate([a, b], axis=1)
-    dist = SecondOrderDistinguisher(chunk_rows=chunk_rows)
-    return dist.score(hypotheses, window, guesses)
+    return run_cpa(hypotheses, centered_product(share1, share2), guesses)

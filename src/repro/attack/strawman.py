@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.attack.cpa import CpaResult
+from repro.attack.distinguisher import CpaDistinguisher
 from repro.attack.hypotheses import hyp_product, known_limbs
 from repro.leakage.traceset import TraceSet
 
@@ -65,26 +66,21 @@ def straightforward_mantissa_attack(
     which_known: str = "lo",
     segment: int = 0,
     tie_tolerance: float = 1e-9,
-    chunk_rows: int | None = None,
 ) -> StrawmanResult:
     """CPA on one mantissa partial product over an explicit guess space.
 
     ``guesses`` is the enumerated candidate set (the paper uses the full
     2^25 space; benches use a subspace containing the true value and its
-    shift aliases — the tie structure is identical). Scoring goes
-    through :class:`repro.attack.distinguisher.StrawmanDistinguisher` —
-    the engine's multiplication-only citizen — so the benches exercising
-    the Figure 4(c) tie share the streaming machinery.
+    shift aliases — the tie structure is identical). Scoring is classic
+    CPA (:class:`repro.attack.distinguisher.CpaDistinguisher`): the
+    strawman's defect is *where* it looks, not how it ranks.
     """
-    from repro.attack.distinguisher import StrawmanDistinguisher
-
     seg = traceset.segments[segment]
     y_lo, y_hi = known_limbs(seg.known_y)
     known = y_lo if which_known == "lo" else y_hi
     hyp = hyp_product(known, guesses, mask_bits=None)
     window = seg.traces[:, traceset.layout.slice_of(step)]
-    dist = StrawmanDistinguisher(chunk_rows=chunk_rows)
-    cpa = dist.score(hyp, window, guesses, label=step, exact=False)
+    cpa = CpaDistinguisher().score(hyp, window, guesses, label=step, exact=False)
     best = cpa.scores.max()
     tied = cpa.guesses[np.abs(cpa.scores - best) <= tie_tolerance]
     correct = bool(true_limb is not None and true_limb in set(int(g) for g in tied))

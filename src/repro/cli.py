@@ -262,8 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--traceset", type=str, required=True)
     p.add_argument(
         "--chunk-rows", type=int, default=None,
-        help="stream every CPA through the raw-moment accumulator in batches "
-        "of this many traces (default: one-shot matrix path)",
+        help="row-block size of the Pearson kernel: every CPA sums its moments "
+        "over blocks of this many traces (default: one block of all traces)",
     )
     p.add_argument(
         "--log-json", type=str, default=None, metavar="PATH",
@@ -310,8 +310,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--chunk-rows", type=int, default=None,
-        help="stream every CPA through the raw-moment accumulator in batches "
-        "of this many traces (default: one-shot matrix path)",
+        help="row-block size of the Pearson kernel: every CPA sums its moments "
+        "over blocks of this many traces (default: one block of all traces)",
     )
     p.add_argument(
         "--distinguisher", type=str, default="cpa",

@@ -39,7 +39,6 @@ from repro.leakage.steps import step_values
 from repro.leakage.synth import trace_layout
 from repro.leakage.traceset import Segment, TraceSet
 from repro.math import fft
-from repro.obs import metrics
 from repro.obs.spans import span
 from repro.targets import DEFAULT_TARGET, get_target
 from repro.utils.rng import ChaCha20Prng
@@ -207,9 +206,6 @@ class CaptureCampaign:
                     values = self.value_transform(values, rng)
                 traces = self.device.emit(values, rng)
                 segments.append(Segment(known_y=patterns, traces=traces, name=name))
-                metrics.inc("capture.rows_kept", int(patterns.shape[0]))
-                metrics.inc("capture.rows_dropped", int(known.shape[0] - patterns.shape[0]))
-            metrics.inc("capture.tracesets", 1)
         return TraceSet(
             layout=trace_layout(self.device),
             segments=segments,

@@ -217,7 +217,6 @@ def _write_shard(root: str, traceset: TraceSet) -> None:
             "store.bytes_written",
             int(seg.known_y.nbytes) + int(stored.nbytes),
         )
-    metrics.inc("store.shards_written", 1)
     shard: dict[str, Any] = {
         "target_index": traceset.target_index,
         "true_secret": traceset.true_secret,
@@ -258,7 +257,6 @@ def _read_shard(root: str, target_index: int, mmap: bool = True) -> TraceSet:
         # decides what is physically read, but this is the upper bound
         # the attack walks per coefficient.
         metrics.inc("store.bytes_read", int(known.nbytes) + int(traces.nbytes))
-    metrics.inc("store.shards_read", 1)
     labels = tuple(shard["labels"]) if "labels" in shard else MUL_STEP_LABELS
     return TraceSet(
         layout=TraceLayout(samples_per_step=int(shard["samples_per_step"]), labels=labels),

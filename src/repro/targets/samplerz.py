@@ -176,7 +176,6 @@ class SamplerZTarget:
 
     def capture_traceset(self, campaign: "CaptureCampaign", target_index: int) -> "TraceSet":  # sast: declassify(reason=capture layer emits modeled leakage of secret sampler intermediates by design (leakage model boundary))
         from repro.leakage.traceset import Segment, TraceSet
-        from repro.obs import metrics
         from repro.obs.spans import span
 
         calls = self._calls(campaign)
@@ -201,8 +200,6 @@ class SamplerZTarget:
                     name="replay",
                 )
             ]
-            metrics.inc("capture.rows_kept", int(campaign.n_traces))
-            metrics.inc("capture.tracesets", 1)
         return TraceSet(
             layout=self.layout(campaign.device),
             segments=segments,
@@ -275,7 +272,6 @@ class SamplerZTarget:
                 scored.append((-sse, z0, b))
         scored.sort(key=lambda t: -t[0])
         best_score, z0, b = scored[0]
-        metrics.inc("cpa.score_calls", len(scored))
         metrics.inc("cpa.rows_correlated", rows)
         return SamplerZRecovery(
             call_index=traceset.target_index,

@@ -323,7 +323,6 @@ class TracedContractTarget:
 
     def capture_traceset(self, campaign: "CaptureCampaign", target_index: int) -> "TraceSet":  # sast: declassify(reason=capture layer emits modeled leakage of secret intermediates by design (leakage model boundary))
         from repro.leakage.traceset import Segment, TraceSet
-        from repro.obs import metrics
         from repro.obs.spans import span
 
         hits = self._hits(campaign)
@@ -358,8 +357,6 @@ class TracedContractTarget:
                     name="replay",
                 )
             ]
-            metrics.inc("capture.rows_kept", int(campaign.n_traces))
-            metrics.inc("capture.tracesets", 1)
         mask = (1 << VALUE_BITS) - 1
         true_values = {
             name: word & mask for name, word in zip(self.value_names, hit)
@@ -420,7 +417,6 @@ class TracedContractTarget:
                     value |= 1 << bit
                 margin = min(margin, abs(mean - threshold))
             decoded[name] = value
-        metrics.inc("cpa.score_calls", len(self.value_names) * VALUE_BITS)
         metrics.inc("cpa.rows_correlated", rows)
         raw_true = traceset.meta.get("true_values", {})
         return TracedRecovery(

@@ -9,12 +9,9 @@ from repro.utils.bits import (
 )
 from repro.utils.rng import ChaCha20Prng, SystemRng
 from repro.utils.stats import (
-    OnlineMoments,
-    PearsonAccumulator,
     batched_pearson,
     fisher_z_threshold,
     pearson_corr,
-    streaming_pearson,
 )
 
 __all__ = [
@@ -25,10 +22,7 @@ __all__ = [
     "mask",
     "ChaCha20Prng",
     "SystemRng",
-    "OnlineMoments",
-    "PearsonAccumulator",
     "batched_pearson",
-    "streaming_pearson",
     "pearson_corr",
     "fisher_z_threshold",
 ]

@@ -8,18 +8,15 @@ sample correlation r is significant at level alpha when
 ``|r| > tanh(z_alpha / sqrt(D - 3))``.
 
 Correlation is computed from the five raw-moment sums (sum h, sum h^2,
-sum t, sum t^2, sum h*t), which makes it streamable: a
-:class:`PearsonAccumulator` folds (D, G)/(D, T) batches in as they
-arrive and can emit the correlation matrix at any point. Both
-:func:`batched_pearson` (one-shot) and :func:`streaming_pearson`
-(chunked) share one blocked hypothesis-sum kernel and the finalization
-code, so their results agree to float64 summation-order differences.
+sum t, sum t^2, sum h*t). :func:`batched_pearson` is the one kernel:
+it accumulates those sums over row blocks (``chunk_rows`` traces each,
+or all of them in one block) and finalizes them once, so the block size
+bounds memory without changing the formula.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
@@ -31,11 +28,8 @@ __all__ = [
     "pearson_corr",
     "guess_block",
     "batched_pearson",
-    "streaming_pearson",
-    "PearsonAccumulator",
     "fisher_z_threshold",
     "normal_quantile",
-    "OnlineMoments",
 ]
 
 
@@ -118,9 +112,7 @@ def _finalize_pearson(
 ) -> FloatArray:
     """(G, T) correlation from the five raw-moment sums.
 
-    Shared by the one-shot and streaming paths so both produce identical
-    finalization arithmetic; columns with zero variance on either side
-    yield 0.0 rather than NaN.
+    Columns with zero variance on either side yield 0.0 rather than NaN.
     """
     cov = sum_ht - np.outer(sum_h, sum_t) / count
     var_h = np.maximum(sum_h2 - sum_h * sum_h / count, 0.0)
@@ -157,14 +149,9 @@ def _hyp_sums(hyps: NDArray[Any], t: FloatArray) -> tuple[FloatArray, FloatArray
     return sum_h, sum_h2, sum_ht
 
 
-def _validate_pair(hyps: NDArray[Any], traces: NDArray[Any]) -> None:
-    if hyps.ndim != 2 or traces.ndim != 2 or hyps.shape[0] != traces.shape[0]:
-        raise ValueError(
-            f"expected (D,G) and (D,T) with matching D, got {hyps.shape} and {traces.shape}"
-        )
-
-
-def batched_pearson(hyps: NDArray[Any], traces: NDArray[Any]) -> FloatArray:
+def batched_pearson(
+    hyps: NDArray[Any], traces: NDArray[Any], chunk_rows: int | None = None
+) -> FloatArray:
     """Correlation of every hypothesis column with every trace sample.
 
     Parameters
@@ -173,197 +160,34 @@ def batched_pearson(hyps: NDArray[Any], traces: NDArray[Any]) -> FloatArray:
         (D, G) array: leakage estimate per trace for each of G guesses.
     traces:
         (D, T) array: measured traces, T samples each.
+    chunk_rows:
+        Row-block size: the five moment sums are accumulated over blocks
+        of this many traces, so only one block of the traces is cast to
+        float64 at a time. ``None`` is one block of all D rows.
 
     Returns
     -------
     (G, T) array of Pearson correlations; columns with zero variance on
-    either side produce 0.0 rather than NaN.
+    either side produce 0.0 rather than NaN. Fewer than two traces raise
+    ``ValueError`` for every ``chunk_rows``.
     """
     h = np.asarray(hyps)
-    t = np.asarray(traces, dtype=np.float64)
-    _validate_pair(h, t)
-    # Raw moments with no centered copies and no float64 copy of the whole (D, G) matrix.
-    sum_h, sum_h2, sum_ht = _hyp_sums(h, t)
-    return _finalize_pearson(
-        h.shape[0], sum_h, sum_h2, t.sum(axis=0), np.einsum("dt,dt->t", t, t), sum_ht
-    )
-
-
-@dataclass
-class PearsonAccumulator:
-    """Streaming raw-moment sums for a (G, T) Pearson correlation matrix.
-
-    Shapes are fixed by the first :meth:`update`; subsequent batches must
-    match. Independent accumulators over disjoint trace partitions can be
-    :meth:`merge`\\ d — the sums are additive — which is what makes the
-    distinguisher trivially parallel over acquisition shards.
-    """
-
-    count: int = 0
-    _sum_h: FloatArray | None = field(default=None, repr=False)
-    _sum_h2: FloatArray | None = field(default=None, repr=False)
-    _sum_t: FloatArray | None = field(default=None, repr=False)
-    _sum_t2: FloatArray | None = field(default=None, repr=False)
-    _sum_ht: FloatArray | None = field(default=None, repr=False)
-
-    @property
-    def n_guesses(self) -> int | None:
-        return None if self._sum_h is None else int(self._sum_h.shape[0])
-
-    @property
-    def n_samples(self) -> int | None:
-        return None if self._sum_t is None else int(self._sum_t.shape[0])
-
-    def update(self, hyps: NDArray[Any], traces: NDArray[Any]) -> "PearsonAccumulator":
-        """Fold in one (D, G)/(D, T) batch of rows; returns self."""
-        h = np.atleast_2d(np.asarray(hyps))
-        t = np.atleast_2d(np.asarray(traces, dtype=np.float64))
-        _validate_pair(h, t)
-        if self._sum_h is not None and self._sum_t is not None and (
-            h.shape[1] != self._sum_h.shape[0] or t.shape[1] != self._sum_t.shape[0]
-        ):
-            raise ValueError(
-                f"batch shapes {h.shape}/{t.shape} do not match accumulator "
-                f"({self._sum_h.shape[0]} guesses, {self._sum_t.shape[0]} samples)"
-            )
-        if h.shape[0] == 0:
-            return self
-        if self._sum_h is None:
-            self._sum_h = np.zeros(h.shape[1])
-            self._sum_h2 = np.zeros(h.shape[1])
-            self._sum_t = np.zeros(t.shape[1])
-            self._sum_t2 = np.zeros(t.shape[1])
-            self._sum_ht = np.zeros((h.shape[1], t.shape[1]))
-        assert (
-            self._sum_h2 is not None and self._sum_t is not None
-            and self._sum_t2 is not None and self._sum_ht is not None
-        )
-        sum_h, sum_h2, sum_ht = _hyp_sums(h, t)
-        self.count += h.shape[0]
-        self._sum_h += sum_h
-        self._sum_h2 += sum_h2
-        self._sum_t += t.sum(axis=0)
-        self._sum_t2 += np.einsum("dt,dt->t", t, t)
-        self._sum_ht += sum_ht
-        return self
-
-    def merge(self, other: "PearsonAccumulator") -> "PearsonAccumulator":
-        """Add another accumulator's sums into this one; returns self."""
-        if other.count == 0 or other._sum_h is None:
-            return self
-        assert (
-            other._sum_h2 is not None and other._sum_t is not None
-            and other._sum_t2 is not None and other._sum_ht is not None
-        )
-        if self._sum_h is None:
-            self.count = other.count
-            self._sum_h = other._sum_h.copy()
-            self._sum_h2 = other._sum_h2.copy()
-            self._sum_t = other._sum_t.copy()
-            self._sum_t2 = other._sum_t2.copy()
-            self._sum_ht = other._sum_ht.copy()
-            return self
-        assert (
-            self._sum_h2 is not None and self._sum_t is not None
-            and self._sum_t2 is not None and self._sum_ht is not None
-        )
-        if (
-            other._sum_h.shape != self._sum_h.shape
-            or other._sum_t.shape != self._sum_t.shape
-        ):
-            raise ValueError("cannot merge accumulators of different shapes")
-        self.count += other.count
-        self._sum_h += other._sum_h
-        self._sum_h2 += other._sum_h2
-        self._sum_t += other._sum_t
-        self._sum_t2 += other._sum_t2
-        self._sum_ht += other._sum_ht
-        return self
-
-    def correlation(self) -> FloatArray:
-        """The (G, T) Pearson correlation of everything folded so far."""
-        if self.count < 2:
-            raise ValueError("need at least two traces")
-        assert (
-            self._sum_h is not None and self._sum_h2 is not None
-            and self._sum_t is not None and self._sum_t2 is not None
-            and self._sum_ht is not None
-        )
-        return _finalize_pearson(
-            self.count, self._sum_h, self._sum_h2, self._sum_t, self._sum_t2, self._sum_ht
-        )
-
-    def threshold(self, confidence: float = 0.9999) -> float:
-        """Fisher-z bound for the traces accumulated so far."""
-        return fisher_z_threshold(self.count, confidence)
-
-
-def streaming_pearson(
-    hyps: NDArray[Any], traces: NDArray[Any], chunk_rows: int = 4096
-) -> FloatArray:
-    """Chunked equivalent of :func:`batched_pearson`.
-
-    Processes ``chunk_rows`` traces at a time through a
-    :class:`PearsonAccumulator`, so only ``chunk_rows`` rows of the
-    traces are cast to float64 at once; the hypothesis sums use the same
-    blocked kernel as :func:`batched_pearson`. Results agree with the
-    one-shot path to float64 summation-order error (far below 1e-9 in
-    practice).
-    """
-    if chunk_rows < 1:
-        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
-    hyps = np.asarray(hyps)
     traces = np.asarray(traces)
-    _validate_pair(hyps, traces)
-    acc = PearsonAccumulator()
-    for lo in range(0, hyps.shape[0], chunk_rows):
-        acc.update(hyps[lo : lo + chunk_rows], traces[lo : lo + chunk_rows])
-    return acc.correlation()
-
-
-@dataclass
-class OnlineMoments:
-    """Streaming per-sample mean/variance of trace batches.
-
-    Batches are folded in with Chan et al.'s parallel-variance update:
-    each (D, T) batch is reduced with one vectorized pass (no per-row
-    Python loop) and combined with the running moments exactly.
-    """
-
-    count: int = 0
-    _mean: FloatArray | None = field(default=None, repr=False)
-    _m2: FloatArray | None = field(default=None, repr=False)
-
-    def update(self, batch: NDArray[Any]) -> None:
-        """Fold a (D, T) batch of rows into the accumulator."""
-        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-        n_b = batch.shape[0]
-        if n_b == 0:
-            return
-        mean_b = batch.mean(axis=0)
-        m2_b = np.einsum("dt,dt->t", batch - mean_b, batch - mean_b)
-        if self._mean is None:
-            self.count = n_b
-            self._mean = mean_b
-            self._m2 = m2_b
-            return
-        assert self._m2 is not None
-        n_a = self.count
-        total = n_a + n_b
-        delta = mean_b - self._mean
-        self._mean = self._mean + delta * (n_b / total)
-        self._m2 = self._m2 + m2_b + delta * delta * (n_a * n_b / total)
-        self.count = total
-
-    @property
-    def mean(self) -> FloatArray:
-        if self._mean is None:
-            raise ValueError("no data accumulated")
-        return self._mean
-
-    @property
-    def variance(self) -> FloatArray:
-        """Sample variance (ddof=1)."""
-        if self._m2 is None or self.count < 2:
-            raise ValueError("need at least two rows for a variance")
-        return self._m2 / (self.count - 1)
+    if h.ndim != 2 or traces.ndim != 2 or h.shape[0] != traces.shape[0]:
+        raise ValueError(
+            f"expected (D,G) and (D,T) with matching D, got {h.shape} and {traces.shape}"
+        )
+    if chunk_rows is not None and chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
+    d = h.shape[0]
+    if d < 2:
+        raise ValueError(f"need at least two traces, got {d}")
+    step = chunk_rows or d
+    sums: list[FloatArray] = []
+    for lo in range(0, d, step):
+        # Raw moments: no centered copies, no float64 copy of the whole (D, G) matrix.
+        t = np.asarray(traces[lo : lo + step], dtype=np.float64)
+        block = [*_hyp_sums(h[lo : lo + step], t), t.sum(axis=0), np.einsum("dt,dt->t", t, t)]
+        sums = block if not sums else [a + b for a, b in zip(sums, block)]
+    sum_h, sum_h2, sum_ht, sum_t, sum_t2 = sums
+    return _finalize_pearson(d, sum_h, sum_h2, sum_t, sum_t2, sum_ht)

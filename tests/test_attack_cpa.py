@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.attack.cpa import CpaResult, combine_scores, run_cpa, significance_threshold
+from repro.attack.cpa import run_cpa
 from repro.attack.hypotheses import (
     hyp_exp_biased,
     hyp_exp_out,
@@ -16,6 +16,7 @@ from repro.attack.hypotheses import (
     known_sign,
 )
 from repro.utils.bits import hamming_weight
+from repro.utils.stats import fisher_z_threshold
 
 
 def patterns_of(values):
@@ -132,7 +133,7 @@ class TestRunCpa:
 
     def test_threshold_matches_module_function(self):
         res, _ = self._planted()
-        assert res.threshold() == significance_threshold(res.n_traces)
+        assert res.threshold() == fisher_z_threshold(res.n_traces)
 
     def test_signed_ranking(self):
         rng = np.random.default_rng(3)
@@ -144,25 +145,6 @@ class TestRunCpa:
         traces = (leak + rng.normal(0, 0.5, d)).reshape(-1, 1)
         res = run_cpa(hyp, traces, np.array([0, 1]), signed=True)
         assert res.best_guess == 1
-
-    def test_combine_scores(self):
-        r1, _ = self._planted(seed=1)
-        r2, _ = self._planted(seed=2)
-        combined = combine_scores([r1, r2])
-        assert combined.shape == (16,)
-        np.testing.assert_allclose(combined, r1.scores + r2.scores)
-
-    def test_combine_mismatched_guesses_rejected(self):
-        r1, _ = self._planted()
-        r2 = CpaResult(
-            guesses=np.arange(5), corr=np.zeros((5, 1)), n_traces=10
-        )
-        with pytest.raises(ValueError):
-            combine_scores([r1, r2])
-
-    def test_combine_empty_rejected(self):
-        with pytest.raises(ValueError):
-            combine_scores([])
 
 
 def hamming_weight_array_local(v):

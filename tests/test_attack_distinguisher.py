@@ -1,4 +1,4 @@
-"""The unified Distinguisher protocol and its five implementations."""
+"""The unified Distinguisher protocol and its four implementations."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from repro.attack.distinguisher import (
     MlDistinguisher,
     ScoreResult,
     SecondOrderDistinguisher,
-    StrawmanDistinguisher,
     TemplateDistinguisher,
     make_distinguisher,
     profile_distinguisher,
@@ -80,12 +79,6 @@ class TestCpaDistinguisher:
         res = CpaDistinguisher(chunk_rows=128).score(hyp, window, guesses)
         assert isinstance(res, ScoreResult)
         assert res.ranking.shape == guesses.shape
-
-    def test_strawman_is_cpa(self, exp_problem):
-        hyp, window, guesses, _ = exp_problem
-        a = CpaDistinguisher().score(hyp, window, guesses)
-        b = StrawmanDistinguisher().score(hyp, window, guesses, exact=False)
-        np.testing.assert_array_equal(a.scores, b.scores)
 
 
 class TestProfiledDistinguishers:

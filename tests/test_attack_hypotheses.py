@@ -29,7 +29,7 @@ from repro.fpr import emu
 from repro.fpr.trace import LOW_BITS, MUL_STEP_LABELS
 from repro.leakage import CaptureCampaign
 from repro.utils.bits import hamming_weight, hamming_weight_array
-from repro.utils.stats import batched_pearson, guess_block, streaming_pearson
+from repro.utils.stats import batched_pearson, guess_block
 from tests.mul_reference import reference_step_values
 
 D = 6000
@@ -144,11 +144,11 @@ def test_batched_pearson_layout_independent(g):
 @pytest.mark.parametrize("g", G_CASES)
 @pytest.mark.parametrize("chunk_rows", (1000, 4096, 997))
 def test_streaming_pearson_layout_independent(g, chunk_rows):
-    # 997 divides neither D nor any block width the accumulator uses
+    # 997 divides neither D nor any guess-block width of the kernel
     assert D % 997 and guess_block(997) % 997 and 997 % guess_block(997)
     c_hyp, f_hyp, traces = _layouts(g)
-    got = streaming_pearson(f_hyp, traces, chunk_rows=chunk_rows)
-    np.testing.assert_array_equal(got, streaming_pearson(c_hyp, traces, chunk_rows=chunk_rows))
+    got = batched_pearson(f_hyp, traces, chunk_rows=chunk_rows)
+    np.testing.assert_array_equal(got, batched_pearson(c_hyp, traces, chunk_rows=chunk_rows))
     np.testing.assert_allclose(got, batched_pearson(f_hyp, traces), atol=1e-12)
 
 

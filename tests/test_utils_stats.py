@@ -1,17 +1,16 @@
 """Tests for the statistics underlying the CPA distinguisher."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.utils.stats import (
-    OnlineMoments,
-    PearsonAccumulator,
     batched_pearson,
     fisher_z_threshold,
     normal_quantile,
     pearson_corr,
-    streaming_pearson,
 )
 
 
@@ -121,7 +120,7 @@ class TestPearson:
 
 
 class TestStreamingPearson:
-    """The chunked raw-moment path must agree with the one-shot matrix."""
+    """Row blocks (``chunk_rows``) must agree with the one-block kernel."""
 
     @given(
         st.integers(10, 400),
@@ -135,7 +134,7 @@ class TestStreamingPearson:
         rng = np.random.default_rng(seed)
         hyps = rng.standard_normal((d, g))
         traces = rng.standard_normal((d, t))
-        got = streaming_pearson(hyps, traces, chunk_rows=chunk)
+        got = batched_pearson(hyps, traces, chunk_rows=chunk)
         want = batched_pearson(hyps, traces)
         np.testing.assert_allclose(got, want, atol=1e-9)
 
@@ -144,106 +143,48 @@ class TestStreamingPearson:
         rng = np.random.default_rng(11)
         hw = rng.integers(0, 65, size=(5000, 8)).astype(float)
         traces = hw[:, :1] * 3.0 + rng.normal(0, 10.0, size=(5000, 12))
-        got = streaming_pearson(hw, traces, chunk_rows=512)
+        got = batched_pearson(hw, traces, chunk_rows=512)
         np.testing.assert_allclose(got, batched_pearson(hw, traces), atol=1e-9)
 
     def test_degenerate_column_zero(self):
         hyps = np.ones((64, 2))
         hyps[:, 1] = np.arange(64.0)
         traces = np.random.default_rng(4).standard_normal((64, 3))
-        got = streaming_pearson(hyps, traces, chunk_rows=16)
+        got = batched_pearson(hyps, traces, chunk_rows=16)
         assert np.all(got[0] == 0.0)
 
     def test_chunk_validation(self):
         with pytest.raises(ValueError):
-            streaming_pearson(np.ones((8, 1)), np.ones((8, 1)), chunk_rows=0)
+            batched_pearson(np.ones((8, 1)), np.ones((8, 1)), chunk_rows=0)
+
+    @pytest.mark.parametrize("d", (2, 300, 4096))
+    def test_one_block_is_the_unchunked_kernel(self, d):
+        """``chunk_rows >= D`` is one block: bit-identical to ``None``."""
+        rng = np.random.default_rng(d)
+        hyps = rng.integers(0, 54, size=(d, 5)).astype(np.int8)
+        traces = (hyps[:, :1] * 0.5 + rng.normal(0, 4.0, size=(d, 3))).astype(np.float32)
+        want = batched_pearson(hyps, traces)
+        for chunk in (d, d + 1, 10 * d):
+            np.testing.assert_array_equal(batched_pearson(hyps, traces, chunk_rows=chunk), want)
 
 
 class TestPearsonAccumulator:
+    """The row-block accumulation inside :func:`batched_pearson`."""
+
     def test_update_matches_batched(self):
         rng = np.random.default_rng(5)
         hyps = rng.standard_normal((300, 4))
         hyps[:, 3] = 1.0  # a degenerate (constant) guess column scores 0
         traces = rng.standard_normal((300, 9))
-        # deliberately uneven chunks, then single-row batches
+        # deliberately uneven blocks, then single-row blocks
         for chunk in (77, 1):
-            acc = PearsonAccumulator()
-            for lo in range(0, 300, chunk):
-                acc.update(hyps[lo : lo + chunk], traces[lo : lo + chunk])
-            assert acc.count == 300
-            assert acc.n_guesses == 4 and acc.n_samples == 9
-            corr = acc.correlation()
+            corr = batched_pearson(hyps, traces, chunk_rows=chunk)
+            assert corr.shape == (4, 9)
             np.testing.assert_allclose(corr, batched_pearson(hyps, traces), atol=1e-9)
             assert np.all(corr[3] == 0.0)
 
-    def test_merge_matches_single_stream(self):
-        """Two accumulators merged == one accumulator over everything,
-        which is what makes the per-worker partial sums composable."""
-        rng = np.random.default_rng(6)
-        hyps = rng.standard_normal((500, 3))
-        traces = rng.standard_normal((500, 5))
-        a = PearsonAccumulator().update(hyps[:200], traces[:200])
-        b = PearsonAccumulator().update(hyps[200:], traces[200:])
-        merged = a.merge(b)
-        np.testing.assert_allclose(
-            merged.correlation(), batched_pearson(hyps, traces), atol=1e-9
-        )
-        assert merged.threshold() == fisher_z_threshold(500)
-
-    def test_merge_with_empty(self):
-        rng = np.random.default_rng(7)
-        hyps = rng.standard_normal((50, 2))
-        traces = rng.standard_normal((50, 2))
-        a = PearsonAccumulator().update(hyps, traces)
-        merged = a.merge(PearsonAccumulator())
-        np.testing.assert_allclose(
-            merged.correlation(), batched_pearson(hyps, traces), atol=1e-12
-        )
-
-    def test_shape_mismatch_rejected(self):
-        acc = PearsonAccumulator().update(np.ones((4, 2)), np.ones((4, 3)))
-        with pytest.raises(ValueError):
-            acc.update(np.ones((4, 5)), np.ones((4, 3)))
-        other = PearsonAccumulator().update(np.ones((4, 9)), np.ones((4, 3)))
-        with pytest.raises(ValueError):
-            acc.merge(other)
-
     def test_empty_correlation_rejected(self):
-        with pytest.raises(ValueError):
-            PearsonAccumulator().correlation()
-
-
-class TestOnlineMoments:
-    def test_matches_numpy(self):
-        rng = np.random.default_rng(3)
-        data = rng.standard_normal((100, 6))
-        om = OnlineMoments()
-        om.update(data[:40])
-        om.update(data[40:])
-        assert om.count == 100
-        np.testing.assert_allclose(om.mean, data.mean(axis=0), atol=1e-10)
-        np.testing.assert_allclose(om.variance, data.var(axis=0, ddof=1), atol=1e-10)
-
-    def test_many_uneven_batches_match_numpy(self):
-        """Chan's batched update across pathological batch sizes (1-row
-        batches included) must agree with the two-pass numpy answer."""
-        rng = np.random.default_rng(9)
-        data = rng.standard_normal((517, 4)) * 50.0 + 1000.0
-        om = OnlineMoments()
-        lo = 0
-        for size in (1, 2, 1, 100, 3, 250, 1, 159):
-            om.update(data[lo : lo + size])
-            lo += size
-        assert lo == 517 and om.count == 517
-        np.testing.assert_allclose(om.mean, data.mean(axis=0), rtol=1e-12)
-        np.testing.assert_allclose(
-            om.variance, data.var(axis=0, ddof=1), rtol=1e-9
-        )
-
-    def test_empty_rejected(self):
-        om = OnlineMoments()
-        with pytest.raises(ValueError):
-            _ = om.mean
-        om.update(np.ones((1, 3)))
-        with pytest.raises(ValueError):
-            _ = om.variance
+        """Fewer than two traces fail the same way for every block size."""
+        for d, chunk_rows in itertools.product((0, 1), (None, 4)):
+            with pytest.raises(ValueError, match="at least two traces"):
+                batched_pearson(np.ones((d, 2)), np.ones((d, 3)), chunk_rows=chunk_rows)
