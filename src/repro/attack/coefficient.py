@@ -63,11 +63,16 @@ class CoefficientRecovery:
         return float(top2[1] - top2[0])
 
     def candidate_patterns(self, k_exponents: int = 8) -> list[int]:
-        """Plausible full patterns: best sign/mantissa x top-k exponents."""
-        return [
-            emu.compose(self.sign.bit, e, self.mantissa.mantissa_field)
-            for e in self.exponent.top_candidates(k_exponents)
-        ]
+        """The key decoder's list: the recovered pattern, then the top-k
+        exponents x {significand s and its one-bit shift aliases that keep
+        the implicit 1: ``(s << 1 | b) mod 2^53``, ``(s >> 1) | 1 << 52``},
+        since shifted limbs give bit-identical product hypotheses."""
+        s = self.mantissa.significand
+        shifts = (s, (s << 1) % (1 << 53), (s << 1 | 1) % (1 << 53), s >> 1 | 1 << 52)
+        return list(dict.fromkeys([self.pattern] + [
+            emu.compose(self.sign.bit, e, x & ((1 << 52) - 1))
+            for e in self.exponent.top_candidates(k_exponents) for x in shifts if x >> 52
+        ]))
 
 
 def recover_coefficient(

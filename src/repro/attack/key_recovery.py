@@ -14,7 +14,9 @@ representation error). Then:
 
 from __future__ import annotations
 
-import dataclasses
+import contextlib
+import heapq
+import math
 import pickle
 import time
 import weakref
@@ -54,6 +56,16 @@ __all__ = [
 #: |g| coefficients beyond this mean the recovered f is inconsistent
 #: with the public key (keygen Gaussians never reach it).
 _G_PLAUSIBLE_BOUND = 1 << 10
+
+#: The furthest invFFT of the recovered doubles may sit from integers.
+_MAX_DRIFT = 0.4
+
+#: The key decoder's budget of states, the coordinates it swaps per state
+#: (largest residual projection first), and the exponent ranks per double
+#: in its candidate lists.
+_DECODE_POPS = 2048
+_DECODE_COORDS = 64
+_DECODE_EXPONENTS = 12
 
 
 class KeyRecoveryError(RuntimeError):
@@ -117,6 +129,16 @@ class ProgressEvent:
 ProgressCallback = Callable[[ProgressEvent], None]
 
 
+def _notifier(journal, callback: ProgressCallback | None) -> ProgressCallback:
+    """One event sink feeding the journal and the caller's callback."""
+    def notify(event: ProgressEvent) -> None:
+        if journal is not None:
+            journal.emit_progress(event)
+        if callback is not None:
+            callback(event)
+    return notify
+
+
 @dataclass
 class KeyRecoveryResult:
     """Outcome of a full-key campaign.
@@ -152,151 +174,92 @@ class KeyRecoveryResult:
         return sum(r.n_traces_used for r in self.records)
 
 
-def _doubles_matrix(n: int) -> np.ndarray:
-    """The linear map from the n secret doubles to the n coefficients of f.
+def repair_exponents(  # sast: declassify(reason=attacker-side key decoder over recovered candidate patterns; not victim code)
+    candidates: list[list[int]], pk: PublicKey
+) -> tuple[list[int], list[int], list[int]]:
+    """The key decoder: one pattern per double such that f and g pass ``pk``.
 
-    Column j is the inverse FFT of the unit vector at double j; the map
-    is orthogonal up to scaling (the FFT is unitary), which is what makes
-    greedy per-coefficient exponent repair well behaved.
-    """
-    mat = np.empty((n, n), dtype=np.float64)
-    for j in range(n):
-        unit = np.zeros(n, dtype=np.float64)
-        unit[j] = 1.0
-        mat[:, j] = fft.ifft(doubles_to_fft(unit))
-    return mat
+    ``candidates[j]`` lists plausible fpr patterns for double j, the
+    recovered pattern first. A wrong double smears a non-integral residue
+    over all of f = invFFT(v). Best-first search over one choice per
+    double, from the recovered patterns, ordered by the squared distance
+    from f to the integer vectors keygen allows plus n/12 (a random
+    residual's expected cost) per double moved off its recovered
+    pattern, so a lucky residual does not outbid fewer moves. A state's
+    neighbours are its single-coordinate swaps over the
+    :data:`_DECODE_COORDS` coordinates with the largest residual
+    projection onto the orthogonal invFFT columns; each costs one O(n)
+    column update. A state is accepted only when :func:`recover_f` and
+    :func:`recover_g_from_public` pass, so the public key rejects
+    integral but spurious choices and the search goes on.
 
-
-def repair_exponents(  # sast: declassify(reason=attacker-side exponent repair over recovered candidate patterns; not victim code)
-    candidates: list[list[int]], max_iterations: int = 4096, tol: float = 0.3
-) -> list[int]:
-    """Pick one pattern per double so the inverse FFT is (near) integral.
-
-    ``candidates[j]`` lists plausible fpr patterns for double j, best
-    first (sign and mantissa are reliably recovered by DEMA; only the
-    exponent rank occasionally slips). f = invFFT(v) must be an integer
-    vector; wrong exponents scale their double by a power of two and
-    smear a non-integral residue over all of f. Three escalating passes:
-
-    1. projection decoding — the map's columns are orthogonal (FFT
-       unitarity), so the residual's projection onto column j estimates
-       that coordinate's error directly; snap the worst coordinate to
-       its nearest candidate while the cost drops;
-    2. greedy single swaps over every remaining candidate;
-    3. forced exploration — when multiple large errors wrap the
-       rounding and flatten the cost landscape, try each single-swap
-       hypothesis followed by a fresh projection pass (sequential
-       interference cancellation) and keep the best outcome.
+    Returns ``(patterns, f, g)``; raises :class:`KeyRecoveryError`, naming
+    the likeliest culprits, after :data:`_DECODE_POPS` states.
     """
     n = len(candidates)
-    mat = _doubles_matrix(n)
-    col_sq = float(mat[:, 0] @ mat[:, 0])  # = 2/n for every column
-    cand_vals = [
-        np.array([np.uint64(p) for p in c], dtype=np.uint64).view(np.float64)
-        for c in candidates
-    ]
+    # f = mat @ doubles; column j is invFFT of the unit double j, and the
+    # columns are orthogonal (the FFT is unitary).
+    mat = np.stack([fft.ifft(doubles_to_fft(unit)) for unit in np.eye(n)], axis=1)
+    vals = [np.array(c, dtype=np.uint64).view(np.float64) for c in candidates]
+    # Keygen rejects ||(f, g)||^2 > 1.17^2 q, so every |f_i| <= 1.17 sqrt(q).
+    box = math.floor(1.17 * math.sqrt(pk.params.q))
+    # Lazy best-first: entry (cost, state, rank) is the rank-th cheapest
+    # neighbour of expanded state ``state`` (-1: the start).
+    heap: list[tuple[float, int, int]] = [(0.0, -1, 0)]
+    expanded: list[tuple[tuple[int, ...], np.ndarray, np.ndarray, np.ndarray]] = []
+    seen: set[tuple[int, ...]] = set()
+    while heap and len(seen) < _DECODE_POPS:
+        _, state, rank = heapq.heappop(heap)
+        if state < 0:
+            choice = (0,) * n
+        else:
+            parent, costs, coords, picks = expanded[state]
+            if rank + 1 < len(costs):
+                heapq.heappush(heap, (costs[rank + 1], state, rank + 1))
+            j = int(coords[rank])
+            choice = parent[:j] + (int(picks[rank]),) + parent[j + 1:]
+        if choice in seen:
+            continue
+        seen.add(choice)
+        f = mat @ np.array([vals[j][c] for j, c in enumerate(choice)])
+        resid = f - np.clip(np.round(f), -box, box)
+        if float(np.max(np.abs(resid))) <= _MAX_DRIFT:
+            patterns = [candidates[j][c] for j, c in enumerate(choice)]
+            with contextlib.suppress(KeyRecoveryError):
+                f_int = recover_f(patterns)
+                return patterns, f_int, recover_g_from_public(f_int, pk)
+        order = np.argsort(-np.abs(mat.T @ resid), kind="stable")[:_DECODE_COORDS]
+        coords = np.concatenate([np.full(len(vals[j]), j) for j in order])
+        picks = np.concatenate([np.arange(len(vals[j])) for j in order])
+        deltas = np.concatenate([vals[j] - vals[j][choice[j]] for j in order])
+        trial = f[:, None] + mat[:, coords] * deltas
+        trial -= np.clip(np.round(trial), -box, box)
+        moves = sum(c != 0 for c in choice) + (np.asarray(choice)[coords] == 0) - (picks == 0)
+        costs = np.where(deltas != 0, np.einsum("ij,ij->j", trial, trial) + n / 12 * moves, np.inf)
+        by_cost = np.argsort(costs, kind="stable")[: np.count_nonzero(deltas)]
+        if len(by_cost):
+            expanded.append((choice, costs[by_cost], coords[by_cost], picks[by_cost]))
+            heapq.heappush(heap, (costs[by_cost[0]], len(expanded) - 1, 0))
+    suspects = _erasure_suspects(mat, np.array([v[0] for v in vals]), box, pk.params)
+    raise KeyRecoveryError(
+        f"no candidate choice passed the public key in {len(seen)} decoder states; "
+        f"suspect coefficients, most likely first: {', '.join(map(str, suspects[:3]))}"
+    )
 
-    def cost_of(vec: np.ndarray) -> float:
-        e = vec - np.round(vec)
-        return float(e @ e)
 
-    def projection_pass(choice: list[int]) -> tuple[list[int], float]:
-        choice = list(choice)
-        v = np.array([cand_vals[j][choice[j]] for j in range(n)])
-        f = mat @ v
-        cost = cost_of(f)
-        for _ in range(max_iterations):
-            r = f - np.round(f)
-            if float(np.max(np.abs(r))) < tol:
-                break
-            proj = (mat.T @ r) / col_sq
-            moved = False
-            for j in np.argsort(-np.abs(proj)):
-                j = int(j)
-                if len(cand_vals[j]) < 2:
-                    continue
-                idx = int(np.argmin(np.abs(cand_vals[j] - (v[j] - proj[j]))))
-                if idx == choice[j]:
-                    continue
-                trial = v.copy()
-                trial[j] = cand_vals[j][idx]
-                f_trial = mat @ trial
-                c_trial = cost_of(f_trial)
-                if c_trial < cost - 1e-12:
-                    choice[j], v, f, cost = idx, trial, f_trial, c_trial
-                    moved = True
-                    break
-            if not moved:
-                break
-        return choice, cost
-
-    def greedy_pass(choice: list[int]) -> tuple[list[int], float]:
-        choice = list(choice)
-        v = np.array([cand_vals[j][choice[j]] for j in range(n)])
-        f = mat @ v
-        cost = cost_of(f)
-        for _ in range(max_iterations):
-            if float(np.max(np.abs(f - np.round(f)))) < tol:
-                break
-            best = None
-            for j in range(n):
-                if len(cand_vals[j]) < 2:
-                    continue
-                base = f - mat[:, j] * v[j]
-                for idx in range(len(cand_vals[j])):
-                    if idx == choice[j]:
-                        continue
-                    c = cost_of(base + mat[:, j] * cand_vals[j][idx])
-                    if c < cost - 1e-12 and (best is None or c < best[0]):
-                        best = (c, j, idx)
-            if best is None:
-                break
-            cost, j, idx = best
-            choice[j] = idx
-            v[j] = cand_vals[j][idx]
-            f = mat @ v
-        return choice, cost
-
-    def is_integral(choice: list[int]) -> bool:
-        v = np.array([cand_vals[j][choice[j]] for j in range(n)])
-        f = mat @ v
-        return float(np.max(np.abs(f - np.round(f)))) < tol
-
-    choice = [0] * n
-    choice, cost = projection_pass(choice)
-    if not is_integral(choice):
-        choice, cost = greedy_pass(choice)
-    force_coords = min(n, 64)
-    for _ in range(8):
-        if is_integral(choice):
-            break
-        best = (cost, choice)
-        v = np.array([cand_vals[j][choice[j]] for j in range(n)])
-        r = (mat @ v) - np.round(mat @ v)
-        proj = np.abs(mat.T @ r) / col_sq
-        for j in np.argsort(-proj)[:force_coords]:
-            j = int(j)
-            for idx in range(len(cand_vals[j])):
-                if idx == choice[j]:
-                    continue
-                forced = list(choice)
-                forced[j] = idx
-                trial_choice, trial_cost = projection_pass(forced)
-                if trial_cost > tol * tol:
-                    # projection alone could not untangle the remaining
-                    # errors; spend a greedy pass on this hypothesis —
-                    # the forced swap may only pay off jointly.
-                    trial_choice, trial_cost = greedy_pass(trial_choice)
-                if trial_cost < best[0] - 1e-12:
-                    best = (trial_cost, trial_choice)
-                if best[0] < tol * tol:
-                    break
-            if best[0] < tol * tol:
-                break
-        if best[1] == choice:
-            break
-        cost, choice = best
-    return [candidates[j][choice[j]] for j in range(n)]
+def _erasure_suspects(mat: np.ndarray, v: np.ndarray, box: int, params) -> list[int]:
+    """Doubles ordered by how close to integral f gets when each alone is
+    freed to any value t in the magnitude band (t scanned so the column's
+    largest entry lands on an integer)."""
+    span = 2.0 ** (fft_f_exponent_scale(params) - 1023 + 6)
+    cost = []
+    for j, col in enumerate(mat.T):
+        rest, i = mat @ v - v[j] * col, int(np.argmax(np.abs(col)))
+        reach = span * abs(col[i])
+        k = np.arange(np.ceil(rest[i] - reach), np.floor(rest[i] + reach) + 1)
+        trial = rest[:, None] + np.outer(col, (k - rest[i]) / col[i])
+        cost.append(np.min(np.sum((trial - np.clip(np.round(trial), -box, box)) ** 2, axis=0)))
+    return [int(j) for j in np.argsort(cost, kind="stable")]
 
 
 def recover_f(patterns: list[int]) -> list[int]:  # sast: declassify(reason=attacker-side decode of extracted bit patterns into key candidates)
@@ -310,7 +273,7 @@ def recover_f(patterns: list[int]) -> list[int]:  # sast: declassify(reason=atta
     coeffs = fft.ifft(f_fft)
     f_int = [int(round(v)) for v in coeffs]
     drift = float(np.max(np.abs(coeffs - np.array(f_int, dtype=np.float64))))
-    if drift > 0.4:
+    if drift > _MAX_DRIFT:
         raise KeyRecoveryError(
             f"inverse FFT is {drift:.3f} away from integers — recovery is corrupt"
         )
@@ -338,26 +301,17 @@ def recover_g_from_public(f: list[int], pk: PublicKey) -> list[int]:  # sast: de
 
 
 def _filter_by_magnitude(patterns: list[int], params) -> list[int]:
-    """Drop candidates whose magnitude is physically impossible.
+    """Drop candidates whose magnitude is physically implausible.
 
-    f is drawn with public sigma_fg, so an FFT(f) double has RMS
-    sqrt(n/2) * sigma_fg; candidates tens of octaves away are exponent
-    aliases, not plausible coefficients. The band is asymmetric: a
-    double is a sum of n coefficient terms, so it cannot exceed the RMS
-    scale by more than a couple of octaves (6 allowed, generously), but
-    cancellation can make it genuinely tiny (13 octaves below). The
-    tight upper edge matters: +16 exponent aliases sit just past it,
-    and letting them through gives :func:`repair_exponents` spuriously
-    integral solutions where several doubles share one wrong
-    power-of-two scale.
+    An FFT(f) double has RMS sqrt(n/2) * sigma_fg (public). A sum of n
+    terms cannot exceed that by more than a couple of octaves (6
+    allowed), but cancellation can make it tiny (13 below, rarely more).
+    The band only shrinks the decoder's search, since the public key
+    verifies every accepted choice, so the recovered pattern (first) is
+    kept whatever its band.
     """
     center = fft_f_exponent_scale(params)
-    kept = []
-    for p in patterns:
-        exp_field = (p >> 52) & 0x7FF
-        if -13 <= exp_field - center <= 6:
-            kept.append(p)
-    return kept or patterns
+    return patterns[:1] + [p for p in patterns[1:] if -13 <= ((p >> 52) & 0x7FF) - center <= 6]
 
 
 # -- parallel per-coefficient engine --------------------------------------
@@ -476,12 +430,7 @@ def recover_coefficients(
     recs: list[CoefficientRecovery | None] = [None] * total
     records: list[CoefficientRecord | None] = [None] * total
     done = 0
-
-    def _notify(event: ProgressEvent) -> None:
-        if journal is not None:
-            journal.emit_progress(event)
-        if progress_callback is not None:
-            progress_callback(event)
+    _notify = _notifier(journal, progress_callback)
 
     if session is not None:
         for j, (rec, record) in session.completed().items():
@@ -616,7 +565,6 @@ def recover_full_key(
     pk: PublicKey,
     config: AttackConfig | None = None,
     progress_callback: ProgressCallback | None = None,
-    n_workers: int | None = None,
     session=None,
     journal=None,
 ) -> KeyRecoveryResult:
@@ -630,9 +578,7 @@ def recover_full_key(
     :attr:`KeyRecoveryResult.recovered_values`.
 
     ``campaign`` is any :class:`~repro.leakage.store.TraceSource` (live
-    campaign or disk-backed store). ``n_workers`` overrides
-    ``config.n_workers`` (see :func:`recover_coefficients`; results are
-    bit-identical either way). ``session`` makes the per-coefficient
+    campaign or disk-backed store). ``session`` makes the per-coefficient
     phase resumable across interrupted runs. ``progress_callback``
     receives structured :class:`ProgressEvent` notifications. On
     failure the raised :class:`KeyRecoveryError` carries the
@@ -640,23 +586,13 @@ def recover_full_key(
     stream (see :func:`recover_coefficients`); console progress is a
     :func:`~repro.obs.journal.console_subscriber` on that journal.
     """
-    cfg = config or AttackConfig()
-    if n_workers is not None:
-        cfg = dataclasses.replace(cfg, n_workers=n_workers)
-
-    def _notify(event: ProgressEvent) -> None:
-        if journal is not None:
-            journal.emit_progress(event)
-        if progress_callback is not None:
-            progress_callback(event)
-
     with span("coefficients"):
         recs, records = recover_coefficients(
-            campaign, cfg, progress_callback=progress_callback, session=session,
+            campaign, config, progress_callback=progress_callback, session=session,
             journal=journal,
         )
     surface = get_target(getattr(campaign, "target", DEFAULT_TARGET))
-    return surface.rebuild(recs, records, pk, _notify)
+    return surface.rebuild(recs, records, pk, _notifier(journal, progress_callback))
 
 
 def rebuild_signing_key(
@@ -667,38 +603,25 @@ def rebuild_signing_key(
 ) -> KeyRecoveryResult:
     """The fpr-mul campaign-level rebuild: recovered doubles -> signing key.
 
-    Inverse FFT to f, g from the public key, (F, G) via NTRUSolve — with
-    the exponent-repair fallback in between. This is the body that
-    always ran at the end of :func:`recover_full_key`; it is a separate
-    function so the ``fpr-mul`` surface object
-    (:class:`repro.targets.fpr_mul.FprMulTarget`) can delegate to it.
-    On failure the raised :class:`KeyRecoveryError` carries the
-    per-coefficient evidence.
+    The key decoder (:func:`repair_exponents`) picks f and g, verified
+    by the public key, then NTRUSolve completes (F, G). The ``repair``
+    progress message lists the decoder's moves (``coef j: 0x… → 0x…``)
+    or ``none``. On failure the raised :class:`KeyRecoveryError` carries
+    the per-coefficient evidence.
     """
     try:
         with span("rebuild"):
-            try:
-                f = recover_f([r.pattern for r in recs])
-                g = recover_g_from_public(f, pk)
-            except KeyRecoveryError:
-                # Exponent aliasing left some coefficient off by a power of
-                # two: resolve from the per-coefficient candidate lists using
-                # (a) the public magnitude scale of FFT(f) coefficients and
-                # (b) the integrality of invFFT, then re-validate against the
-                # public key.
-                _notify(
-                    ProgressEvent(
-                        "repair", 0, 1, message="invFFT not integral; repairing exponents"
-                    )
-                )
-                with span("repair"):
-                    candidates = [
-                        _filter_by_magnitude(r.candidate_patterns(12), pk.params)
-                        for r in recs
-                    ]
-                    patterns = repair_exponents(candidates)
-                f = recover_f(patterns)
-                g = recover_g_from_public(f, pk)
+            with span("repair"):
+                candidates = [
+                    _filter_by_magnitude(r.candidate_patterns(_DECODE_EXPONENTS), pk.params)
+                    for r in recs
+                ]
+                patterns, f, g = repair_exponents(candidates, pk)
+            moves = "; ".join(
+                f"coef {j}: {r.pattern:#018x} → {p:#018x}"
+                for j, (r, p) in enumerate(zip(recs, patterns)) if p != r.pattern
+            )
+            _notify(ProgressEvent("repair", 1, 1, message=moves or "none"))
             _notify(ProgressEvent("rebuild", 0, 1, message="solving NTRU equation"))
             try:
                 big_f, big_g = ntru_solve(f, g, pk.params.q)

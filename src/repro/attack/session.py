@@ -43,7 +43,8 @@ from repro.utils.io import atomic_write_bytes
 __all__ = ["AttackSession", "SessionError"]
 
 _FORMAT = "falcon-down-attack-session"
-_VERSION = 1
+#: 2: checkpointed exponent recoveries carry their tie-break centre.
+_VERSION = 2
 
 
 class SessionError(RuntimeError):

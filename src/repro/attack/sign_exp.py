@@ -48,6 +48,19 @@ __all__ = [
 #: impossible.
 EXPONENT_GUESSES = (963, 1084)
 
+#: Score gap that still counts as a tie: guesses 16/32/64 apart tie exactly
+#: (HW-vs-E_y profiles differ by a constant), up to float summation order.
+_TIE = 1e-9
+
+
+def _ranked(total: np.ndarray, guesses: np.ndarray, center: int) -> np.ndarray:
+    """Guess indices best first: by score, then (among near-ties) by
+    distance from the public magnitude centre, then the lower guess."""
+    order = np.argsort(-total, kind="stable")
+    tie_group = np.empty(len(total), dtype=np.int64)
+    tie_group[order] = np.cumsum(np.diff(total[order], prepend=total[order[0]]) < -_TIE)
+    return np.lexsort((np.abs(guesses.astype(np.int64) - center), tie_group))
+
 
 @dataclass
 class SignRecovery:
@@ -71,6 +84,8 @@ class ExponentRecovery:
     results: list[CpaResult] = field(repr=False)
     combined_scores: np.ndarray = field(repr=False)
     guesses: np.ndarray = field(repr=False)
+    #: Biased exponent of the RMS FFT(f) double; breaks score near-ties.
+    center: int = field(repr=False)
 
     def __repr__(self) -> str:
         return (
@@ -80,15 +95,13 @@ class ExponentRecovery:
         )
 
     def top_candidates(self, k: int) -> list[int]:
-        """The k best exponent guesses, best first.
-
-        Residual aliasing among exponent hypotheses (narrow known-operand
-        exponent support) occasionally demotes the true value below rank
-        1; key recovery resolves those cases algebraically from the
-        candidate lists (see repro.attack.key_recovery.repair_exponents).
-        """
-        order = np.argsort(-self.combined_scores, kind="stable")[:k]
-        return [int(self.guesses[i]) for i in order]
+        """The k best exponent guesses in :func:`recover_exponent`'s order,
+        so the first is :attr:`biased_exponent`. Aliasing occasionally
+        demotes the truth below rank 1; the key decoder
+        (repro.attack.key_recovery.repair_exponents) searches these lists
+        and the public key verifies its answer."""
+        ranked = _ranked(self.combined_scores, self.guesses, self.center)
+        return [int(self.guesses[i]) for i in ranked[:k]]
 
     @property
     def margin(self) -> float:
@@ -134,20 +147,15 @@ def recover_exponent(
     if significand is not None:
         steps.append(("exp_out", lambda y, g: hyp_exp_out(y, g, significand)))
     total, results = score_steps(traceset, steps, guesses, distinguisher)
-    # Guesses whose exponent offsets are multiples of 16/32/64 can tie
-    # *exactly* (their HW-vs-E_y profiles differ by a constant over the
-    # narrow observed window). Break exact ties toward the physically
-    # expected coefficient scale — the adversary knows sigma_fg and n, so
+    # Exact ties break toward the physically expected coefficient scale:
     # the plausible |FFT(f)| magnitude (and hence exponent) is public.
     center = _expected_exponent_center(traceset)
-    tied = np.flatnonzero(total >= total.max() - 1e-9)
-    best_idx = tied[int(np.argmin(np.abs(guesses[tied].astype(np.int64) - center)))]
-    best = int(guesses[best_idx])
     return ExponentRecovery(
-        biased_exponent=best,
+        biased_exponent=int(guesses[_ranked(total, guesses, center)[0]]),
         results=results,
         combined_scores=total,
         guesses=guesses,
+        center=center,
     )
 
 

@@ -21,7 +21,7 @@ from repro.attack.extend_prune import (
     refine_limb,
 )
 from repro.attack.ladder import LOW_LIMB_STEPS, ladder_limb
-from repro.attack.sign_exp import recover_exponent, recover_sign
+from repro.attack.sign_exp import ExponentRecovery, recover_exponent, recover_sign
 from repro.falcon import FalconParams, keygen
 from repro.fpr.trace import LOW_BITS
 from repro.leakage import CaptureCampaign, DeviceModel
@@ -168,6 +168,17 @@ class TestSignExponent:
         rec = recover_exponent(ts0, significand=sig, guess_range=(963, 1084))
         assert parts["exp"] in rec.top_candidates(8)
 
+    def test_top_candidates_share_the_tie_break(self):
+        """Near-tied scores rank by distance from the public centre, the
+        rule that picks ``biased_exponent``, so the list leads with it."""
+        guesses = np.arange(963, 1084, dtype=np.uint64)
+        scores = np.zeros(len(guesses))
+        scores[[964 - 963, 1028 - 963]] = 1.0      # an exact 64-offset tie
+        scores[1000 - 963] = 1.0 - 1e-12           # tied up to float order
+        scores[1030 - 963] = 0.5
+        rec = ExponentRecovery(1028, [], scores, guesses, center=1028)
+        assert rec.top_candidates(4) == [1028, 1000, 964, 1030]
+
     def test_exponent_ignores_impossible_range(self, ts0):
         rec = recover_exponent(ts0, guess_range=(1000, 1050))
         assert 1000 <= rec.biased_exponent < 1050
@@ -220,6 +231,9 @@ class TestCoefficientRecovery:
         assert rec.mantissa.mantissa_field == ts0.true_secret & ((1 << 52) - 1)
         assert rec.sign.bit == parts["sign"]
         assert ts0.true_secret in rec.candidate_patterns(12)
+        # the decoder starts from the pattern the attack chose
+        assert rec.exponent.top_candidates(12)[0] == rec.exponent.biased_exponent
+        assert rec.candidate_patterns(12)[0] == rec.pattern
 
     def test_more_noise_needs_more_traces(self, campaign):
         """With 10x the noise, 300 traces are not enough for the mantissa."""

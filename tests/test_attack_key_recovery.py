@@ -3,13 +3,20 @@
 import numpy as np
 import pytest
 
+from repro.attack.coefficient import CoefficientRecovery
+from repro.attack.extend_prune import MantissaRecovery
 from repro.attack.key_recovery import (
     KeyRecoveryError,
+    _filter_by_magnitude,
+    rebuild_signing_key,
     recover_f,
     recover_g_from_public,
     repair_exponents,
 )
+from repro.attack.sign_exp import ExponentRecovery, SignRecovery, fft_f_exponent_scale
 from repro.falcon import FalconParams, keygen, verify
+from repro.fpr.emu import compose
+from repro.fpr.trace import LOW_BITS
 from repro.leakage.capture import fft_to_doubles
 from repro.math import fft, poly
 
@@ -53,26 +60,77 @@ class TestRecoverG:
             recover_g_from_public(wrong, pk)
 
 
+_MANT = (1 << 52) - 1
+
+
+def planted_recoveries(sk, errors):
+    """Per-coefficient recoveries with planted misses, as the attack reports them.
+
+    ``errors[j] = (d, shifted)`` recovers double j with its exponent off
+    by ``d`` and, if ``shifted``, its significand as the
+    ``(true >> 1) | 1 << 52`` alias. Exponent scores put the recovered
+    exponent first and its 16/32/48/64-offset tie class next, as the
+    structural aliasing does.
+    """
+    guesses = np.arange(963, 1084, dtype=np.uint64)
+    center = round(fft_f_exponent_scale(sk.params))
+    recs = []
+    for j, p in enumerate(true_patterns(sk)):
+        d, shifted = errors.get(j, (0, False))
+        sig = (p & _MANT) | 1 << 52
+        if shifted:
+            sig = sig >> 1 | 1 << 52
+        exp = ((p >> 52) & 0x7FF) + d
+        offset = guesses.astype(np.int64) - exp
+        scores = -(offset % 16 != 0).astype(float) - np.abs(offset) / 1000.0
+        recs.append(
+            CoefficientRecovery(
+                target_index=j,
+                pattern=compose(p >> 63, exp, sig & _MANT),
+                sign=SignRecovery(bit=p >> 63, results=[]),
+                exponent=ExponentRecovery(exp, [], scores, guesses, center=center),
+                mantissa=MantissaRecovery(sig & ((1 << LOW_BITS) - 1), sig >> LOW_BITS, None, None),
+            )
+        )
+    return recs
+
+
+def rebuild_planted(sk, pk, errors):
+    events = []
+    result = rebuild_signing_key(planted_recoveries(sk, errors), [], pk, events.append)
+    (repair,) = [e for e in events if e.stage == "repair"]
+    return result, repair.message
+
+
 class TestRepairExponents:
     def test_identity_when_top1_correct(self, kp):
-        sk, _ = kp
+        sk, pk = kp
         pats = true_patterns(sk)
         cands = [[p, p ^ (3 << 52)] for p in pats]
-        assert repair_exponents(cands) == pats
+        patterns, f, g = repair_exponents(cands, pk)
+        assert patterns == pats
+        assert f == sk.f and g == sk.g
+
+    def test_rebuild_without_misses_makes_no_moves(self, kp):
+        """A clean recovery rebuilds the victim's key on the first state."""
+        sk, pk = kp
+        result, moves = rebuild_planted(sk, pk, {})
+        assert moves == "none"
+        assert (result.f, result.g, result.big_f, result.big_g) == (sk.f, sk.g, sk.big_f, sk.big_g)
 
     def test_fixes_single_wrong_exponent(self, kp):
-        sk, _ = kp
+        sk, pk = kp
         pats = true_patterns(sk)
         cands = [[p] for p in pats]
         true5 = pats[5]
         wrong5 = true5 ^ (1 << 54)  # exponent off by 4
         cands[5] = [wrong5, true5]
-        repaired = repair_exponents(cands)
-        assert repaired[5] == true5
-        assert repaired == pats
+        patterns, f, _ = repair_exponents(cands, pk)
+        assert patterns == pats
+        assert f == sk.f
 
     def test_fixes_multiple_wrong_exponents(self, kp):
-        sk, _ = kp
+        sk, pk = kp
         pats = true_patterns(sk)
         cands = [[p] for p in pats]
         for j, delta in ((2, 1), (9, 2), (13, 5)):
@@ -81,28 +139,60 @@ class TestRepairExponents:
                 true_p & (1 << 63)
             )
             cands[j] = [wrong, true_p]
-        repaired = repair_exponents(cands)
-        assert repaired == pats
+        patterns, f, _ = repair_exponents(cands, pk)
+        assert patterns == pats
+        assert f == sk.f
 
-    def test_returns_best_effort_without_truth(self, kp):
-        """If the true pattern is absent, repair returns *some* choice."""
-        sk, _ = kp
+    def test_fixes_shift_alias_significand(self):
+        """The prune kept the truth's one-bit right shift (the n8-key
+        seed-14 miss); the decoder's alias list holds the truth."""
+        sk, pk = keygen(FalconParams.get(8), seed=b"kr-alias")
+        result, moves = rebuild_planted(sk, pk, {5: (0, True)})
+        assert result.f == sk.f and result.g == sk.g
+        truth = true_patterns(sk)[5]
+        wrong = compose(truth >> 63, (truth >> 52) & 0x7FF, (((truth & _MANT) | 1 << 52) >> 1) & _MANT)
+        assert moves == f"coef 5: {wrong:#018x} → {truth:#018x}"
+
+    def test_fixes_exponent_aliases_and_shift_alias_at_n64(self):
+        """Two tie-class exponent slips (+16 and +32 octaves, on the two
+        smallest doubles, where the tie break toward the public centre
+        lands above the truth) plus a shifted significand on the largest."""
+        sk, pk = keygen(FalconParams.get(64), seed=b"kr64")
+        by_size = np.argsort(np.abs(np.array(true_patterns(sk), dtype=np.uint64).view(np.float64)))
+        errors = {int(by_size[0]): (16, False), int(by_size[1]): (32, False), int(by_size[-1]): (0, True)}
+        result, moves = rebuild_planted(sk, pk, errors)
+        assert result.f == sk.f and result.g == sk.g
+        assert moves.count("coef ") == 3
+
+    def test_fixes_three_misses_at_n8(self):
+        """The n8-key seed-14 shape: +16/+32 slips on the two smallest
+        doubles and a shifted significand on another. Once the slips are
+        undone every residual looks random, so only the per-move cost
+        keeps the search from wandering off."""
+        sk, pk = keygen(FalconParams.get(8), seed=b"kr8")
+        by_size = np.argsort(np.abs(np.array(true_patterns(sk), dtype=np.uint64).view(np.float64)))
+        errors = {int(by_size[0]): (16, False), int(by_size[1]): (32, False), int(by_size[4]): (0, True)}
+        result, moves = rebuild_planted(sk, pk, errors)
+        assert result.f == sk.f and result.g == sk.g
+        assert moves.count("coef ") == 3
+
+    def test_truth_absent_raises_naming_the_coefficient(self, kp):
+        """With no list holding the truth, the budget runs out and the
+        error names the coefficient that lacks it."""
+        sk, pk = kp
         pats = true_patterns(sk)
-        cands = [[p] for p in pats]
-        cands[0] = [pats[0] ^ (1 << 53)]  # truth not available
-        out = repair_exponents(cands)
-        assert len(out) == len(pats)
+        wrong0 = pats[0] ^ (1 << 51)  # significand off by a quarter
+        cands = [[p, p ^ (3 << 52)] for p in [wrong0, *pats[1:]]]
+        with pytest.raises(KeyRecoveryError, match=r"most likely first: 0,"):
+            repair_exponents(cands, pk)
 
 
 class TestMagnitudeFilter:
     def test_high_aliases_rejected_tiny_kept(self, kp):
         """The plausibility band is asymmetric: +16-octave exponent
-        aliases (which can fool the integrality decoder when several
-        doubles share one wrong scale) are rejected, while genuinely
-        tiny coefficients from cancellation survive."""
+        aliases are physically impossible and leave the decoder's lists,
+        while genuinely tiny coefficients from cancellation stay."""
         import math
-
-        from repro.attack.key_recovery import _filter_by_magnitude
 
         sk, _ = kp
         params = sk.params
@@ -122,9 +212,17 @@ class TestMagnitudeFilter:
         assert pat(true_exp - 16) not in kept   # far below the band too
         assert pat(true_exp - 10) in kept       # tiny but possible
 
-    def test_never_returns_empty(self, kp):
-        from repro.attack.key_recovery import _filter_by_magnitude
+    def test_recovered_pattern_kept_below_band(self, kp):
+        """A correct recovery below the band (the n8-key seed-205 double
+        sat 14.02 octaves under the centre) stays first in its list."""
+        sk, _ = kp
+        center = round(fft_f_exponent_scale(sk.params))
+        below = ((center - 15) << 52) | 0x123456789ABCD
+        others = [below + (16 << 52), below + (32 << 52), below - (2 << 52)]
+        kept = _filter_by_magnitude([below, *others], sk.params)
+        assert kept == [below, below + (16 << 52)]
 
+    def test_never_returns_empty(self, kp):
         sk, _ = kp
         only_implausible = [(2000 << 52) | 1]
         assert _filter_by_magnitude(only_implausible, sk.params) == only_implausible
