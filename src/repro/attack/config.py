@@ -38,9 +38,12 @@ class AttackConfig:
     centered-product attack; needs share-pair captures).
 
     The search widths are module constants, not knobs: the ladder's
-    ``WINDOW``/``BEAM``/``KEEP`` (:mod:`repro.attack.ladder`) and the
-    exponent band ``EXPONENT_GUESSES`` (:mod:`repro.attack.sign_exp`).
-    Every trace segment is always used.
+    ``WINDOW``/``BEAM``/``KEEP`` and its row prefix ``ROWS``
+    (:mod:`repro.attack.ladder`) and the exponent band
+    ``EXPONENT_GUESSES`` (:mod:`repro.attack.sign_exp`). Every trace
+    segment is always used; the ladder scores the first ``ROWS`` rows of
+    each (more if its best candidate is not significant), every other
+    step all of them.
     """
 
     n_workers: int = 1

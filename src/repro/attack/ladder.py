@@ -12,6 +12,14 @@ This is itself an extend-and-prune in the template-attack sense; the
 paper's *novel* extend-and-prune (multiplication -> addition re-ranking,
 :mod:`repro.attack.extend_prune`) is applied after the ladder to kill
 the shift-aliased false positives that survive it.
+
+The ladder only has to keep the true limb's alias class inside its beam,
+since that prune re-ranks the alias-expanded survivors on every trace
+row. So it scores its stages on the first ``ROWS`` rows of each segment
+(the paper sees the mantissa addition become significant after about 1k
+traces). If the best final candidate's score, averaged over its
+(segment, step) terms, does not clear the 99.99% Fisher-z bound of that
+prefix, the ladder reruns on twice the rows, up to all of them.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ import numpy as np
 from repro.attack.distinguisher import Step, score_steps
 from repro.attack.hypotheses import hyp_product, known_limbs
 from repro.leakage.traceset import TraceSet
+from repro.utils.stats import fisher_z_threshold
 
 __all__ = ["LadderStage", "LadderResult", "ladder_limb"]
 
@@ -34,9 +43,11 @@ HIGH_LIMB_STEPS = (("p_hl", "lo"), ("p_hh", "hi"))
 #: candidates kept after the last stage. Each stage extends every
 #: survivor by all 2^WINDOW values of its next window; the paper instead
 #: enumerates the 2^25 / 2^27 limb spaces exhaustively on a workstation.
+#: ROWS is the first prefix of each segment the stages are scored on.
 WINDOW = 5
 BEAM = 32
 KEEP = 32
+ROWS = 1500
 
 
 @dataclass
@@ -51,11 +62,13 @@ class LadderStage:
 
 @dataclass
 class LadderResult:
-    """Final candidates best-first, their final-stage scores, and per-stage diagnostics."""
+    """Final candidates best-first, their final-stage scores, per-stage
+    diagnostics, and the rows per segment the stages were scored on."""
 
     candidates: np.ndarray
     scores: np.ndarray
     stages: list[LadderStage]
+    n_rows: int
 
     @property
     def best(self) -> int:
@@ -82,9 +95,39 @@ def ladder_limb(
     keep: int = KEEP,
     distinguisher=None,
 ) -> LadderResult:
-    """Recover candidates for one secret limb of ``total_bits`` bits."""
+    """Recover candidates for one secret limb of ``total_bits`` bits.
+
+    Scores on the first ``ROWS`` rows of each segment, doubling the
+    prefix while the best candidate's mean per-term score stays at or
+    below the Fisher-z bound of the prefix (see the module docstring).
+    """
     if total_bits < 1:
         raise ValueError(f"total_bits must be >= 1, got {total_bits}")
+    full = max(seg.n_traces for seg in traceset.segments)
+    rows = min(ROWS, full)
+    while True:
+        prefix = traceset.head(rows)
+        candidates, scores, stages = _ladder(
+            prefix, steps, total_bits, window, beam, keep, distinguisher
+        )
+        mean_best = scores[0] / (len(prefix.segments) * len(steps))
+        bound = fisher_z_threshold(min(seg.n_traces for seg in prefix.segments))
+        if rows >= full or mean_best > bound:
+            return LadderResult(candidates, scores, stages, n_rows=rows)
+        rows = min(2 * rows, full)
+
+
+def _ladder(
+    traceset: TraceSet,
+    steps: tuple[tuple[str, str], ...],
+    total_bits: int,
+    window: int,
+    beam: int,
+    keep: int,
+    distinguisher,
+) -> tuple[np.ndarray, np.ndarray, list[LadderStage]]:
+    """One ladder pass over every row of ``traceset``: the final candidates
+    best-first, their scores, and the stages."""
     survivors = np.array([0], dtype=np.uint64)
     stages: list[LadderStage] = []
     covered = 0
@@ -113,4 +156,4 @@ def ladder_limb(
         order = np.argsort(-kept_scores, kind="stable")
         survivors = kept[order]
         stages.append(LadderStage(covered, cands, scores, survivors))
-    return LadderResult(candidates=survivors, scores=kept_scores[order], stages=stages)
+    return survivors, kept_scores[order], stages

@@ -44,7 +44,8 @@ __all__ = ["AttackSession", "SessionError"]
 
 _FORMAT = "falcon-down-attack-session"
 #: 2: checkpointed exponent recoveries carry their tie-break centre.
-_VERSION = 2
+#: 3: the ladder scores a row prefix; its results carry ``n_rows``.
+_VERSION = 3
 
 
 class SessionError(RuntimeError):

@@ -53,13 +53,19 @@ EXPONENT_GUESSES = (963, 1084)
 _TIE = 1e-9
 
 
-def _ranked(total: np.ndarray, guesses: np.ndarray, center: int) -> np.ndarray:
-    """Guess indices best first: by score, then (among near-ties) by
-    distance from the public magnitude centre, then the lower guess."""
+def _tie_groups(total: np.ndarray) -> np.ndarray:
+    """Per guess, the rank of its tie group: scores sorted best first
+    start a new group wherever they drop by more than ``_TIE``."""
     order = np.argsort(-total, kind="stable")
     tie_group = np.empty(len(total), dtype=np.int64)
     tie_group[order] = np.cumsum(np.diff(total[order], prepend=total[order[0]]) < -_TIE)
-    return np.lexsort((np.abs(guesses.astype(np.int64) - center), tie_group))
+    return tie_group
+
+
+def _ranked(total: np.ndarray, guesses: np.ndarray, center: int) -> np.ndarray:
+    """Guess indices best first: by score, then (among near-ties) by
+    distance from the public magnitude centre, then the lower guess."""
+    return np.lexsort((np.abs(guesses.astype(np.int64) - center), _tie_groups(total)))
 
 
 @dataclass
@@ -105,11 +111,14 @@ class ExponentRecovery:
 
     @property
     def margin(self) -> float:
-        """Combined-score gap between the best and second-best guess."""
-        if len(self.combined_scores) < 2:
+        """Combined-score gap between the best guess and the best guess
+        outside its tie group. The 16/32/64-octave aliases that tie the
+        winner exactly are the decoder's to resolve, not evidence
+        against it, so they do not shrink the margin to zero."""
+        rest = self.combined_scores[_tie_groups(self.combined_scores) > 0]
+        if not len(rest):
             return float("inf")
-        top2 = np.sort(self.combined_scores)[-2:]
-        return float(top2[1] - top2[0])
+        return float(self.combined_scores.max() - rest.max())
 
 
 def recover_sign(traceset: TraceSet, distinguisher=None) -> SignRecovery:

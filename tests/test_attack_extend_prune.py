@@ -20,11 +20,12 @@ from repro.attack.extend_prune import (
     recover_mantissa,
     refine_limb,
 )
-from repro.attack.ladder import LOW_LIMB_STEPS, ladder_limb
+from repro.attack.ladder import LOW_LIMB_STEPS, ROWS, ladder_limb
 from repro.attack.sign_exp import ExponentRecovery, recover_exponent, recover_sign
 from repro.falcon import FalconParams, keygen
 from repro.fpr.trace import LOW_BITS
 from repro.leakage import CaptureCampaign, DeviceModel
+from repro.leakage.traceset import Segment, TraceSet
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +37,11 @@ def campaign():
 @pytest.fixture(scope="module")
 def ts0(campaign):
     return campaign.capture(0)
+
+
+@pytest.fixture(scope="module")
+def rec0(ts0):
+    return recover_coefficient(ts0, AttackConfig())
 
 
 def true_parts(ts):
@@ -110,6 +116,33 @@ class TestLadder:
         with pytest.raises(ValueError):
             ladder_limb(ts0, LOW_LIMB_STEPS, total_bits=0)
 
+    def test_rows_past_the_prefix_are_not_read(self, ts0):
+        """On a 3000-row set, replacing every sample past ``ROWS`` with
+        noise leaves the result unchanged: the guard holds at σ = 10."""
+        ts = ts0.head(3000)
+        rng = np.random.default_rng(1)
+        scrambled = TraceSet(ts.layout, [
+            Segment(seg.known_y, np.concatenate([
+                seg.traces[:ROWS], rng.normal(10.0, 10.0, seg.traces[ROWS:].shape),
+            ]), seg.name)
+            for seg in ts.segments
+        ], meta=ts.meta)
+        want = ladder_limb(ts, LOW_LIMB_STEPS, total_bits=LOW_BITS)
+        got = ladder_limb(scrambled, LOW_LIMB_STEPS, total_bits=LOW_BITS)
+        assert want.n_rows == got.n_rows == ROWS
+        np.testing.assert_array_equal(got.candidates, want.candidates)
+        np.testing.assert_array_equal(got.scores, want.scores)
+
+    def test_noisy_capture_grows_the_prefix(self, campaign):
+        """At σ = 30 the best candidate does not clear the Fisher-z bound
+        of ``ROWS`` rows, so the ladder reruns on more of them."""
+        noisy = CaptureCampaign(
+            sk=campaign.sk, n_traces=3000, device=DeviceModel(noise_sigma=30.0, seed=5)
+        ).capture(0)
+        res = ladder_limb(noisy, LOW_LIMB_STEPS, total_bits=LOW_BITS)
+        assert res.n_rows > ROWS
+        assert res.n_rows == min(2 * ROWS, max(seg.n_traces for seg in noisy.segments))
+
 
 class TestPrune:
     def test_prune_ranks_truth_over_alias(self, ts0):
@@ -179,6 +212,20 @@ class TestSignExponent:
         rec = ExponentRecovery(1028, [], scores, guesses, center=1028)
         assert rec.top_candidates(4) == [1028, 1000, 964, 1030]
 
+    def test_margin_skips_the_winners_tie_group(self):
+        """Guesses tied with the winner (exactly, or up to float order) are
+        aliases, so the margin is measured to the best guess past them."""
+        guesses = np.arange(963, 1084, dtype=np.uint64)
+        scores = np.full(len(guesses), 0.25)
+        scores[[1012 - 963, 1028 - 963, 1044 - 963]] = 1.0   # 16-octave aliases
+        scores[1060 - 963] = 1.0 - 1e-12
+        scores[1030 - 963] = 0.75
+        rec = ExponentRecovery(1028, [], scores, guesses, center=1028)
+        assert rec.margin == pytest.approx(0.25, abs=1e-15)
+        scores[1030 - 963] = 1.0 - 1e-6                      # past the tie tolerance
+        assert rec.margin == pytest.approx(1e-6, rel=1e-6)
+        assert ExponentRecovery(1028, [], np.ones(3), guesses[:3], center=1028).margin == np.inf
+
     def test_exponent_ignores_impossible_range(self, ts0):
         rec = recover_exponent(ts0, guess_range=(1000, 1050))
         assert 1000 <= rec.biased_exponent < 1050
@@ -223,8 +270,8 @@ class TestCoefficientRecovery:
         exact_labels = {label for label, exact, _ in dist.calls if exact}
         assert exact_labels == set(ENGINE_PROFILED_LABELS)
 
-    def test_full_coefficient(self, ts0):
-        rec = recover_coefficient(ts0, AttackConfig())
+    def test_full_coefficient(self, rec0, ts0):
+        rec = rec0
         parts = true_parts(ts0)
         # mantissa and sign must be exact; the exponent may need the
         # global repair, but must be in the candidate set
@@ -234,6 +281,22 @@ class TestCoefficientRecovery:
         # the decoder starts from the pattern the attack chose
         assert rec.exponent.top_candidates(12)[0] == rec.exponent.biased_exponent
         assert rec.candidate_patterns(12)[0] == rec.pattern
+
+    def test_only_the_ladder_scores_a_prefix(self, rec0, ts0):
+        """The prune, exponent and sign steps correlate every row of each
+        segment, so their Fisher-z bounds use all the data."""
+        rows = [seg.n_traces for seg in ts0.segments]
+        assert min(rows) > ROWS
+
+        def per_call(results):
+            per_segment = len(results) // len(rows)
+            return [r.n_traces for r in results] == [n for n in rows for _ in range(per_segment)]
+
+        for limb in (rec0.mantissa.low, rec0.mantissa.high):
+            assert limb.ladder.n_rows == ROWS
+            assert per_call(limb.prune_results)
+        assert per_call(rec0.exponent.results)
+        assert per_call(rec0.sign.results)
 
     def test_more_noise_needs_more_traces(self, campaign):
         """With 10x the noise, 300 traces are not enough for the mantissa."""
