@@ -197,9 +197,7 @@ def repair_exponents(  # sast: declassify(reason=attacker-side key decoder over 
     the likeliest culprits, after :data:`_DECODE_POPS` states.
     """
     n = len(candidates)
-    # f = mat @ doubles; column j is invFFT of the unit double j, and the
-    # columns are orthogonal (the FFT is unitary).
-    mat = np.stack([fft.ifft(doubles_to_fft(unit)) for unit in np.eye(n)], axis=1)
+    mat = _invfft_basis(n)
     vals = [np.array(c, dtype=np.uint64).view(np.float64) for c in candidates]
     # Keygen rejects ||(f, g)||^2 > 1.17^2 q, so every |f_i| <= 1.17 sqrt(q).
     box = math.floor(1.17 * math.sqrt(pk.params.q))
@@ -245,6 +243,12 @@ def repair_exponents(  # sast: declassify(reason=attacker-side key decoder over 
         f"no candidate choice passed the public key in {len(seen)} decoder states; "
         f"suspect coefficients, most likely first: {', '.join(map(str, suspects[:3]))}"
     )
+
+
+def _invfft_basis(n: int) -> np.ndarray:
+    """The (n, n) matrix with f = mat @ doubles: column j is invFFT of the
+    unit double j, and the columns are orthogonal (the FFT is unitary)."""
+    return np.ascontiguousarray(fft.ifft(doubles_to_fft(np.eye(n))).T)
 
 
 def _erasure_suspects(mat: np.ndarray, v: np.ndarray, box: int, params) -> list[int]:

@@ -19,7 +19,9 @@ row. So it scores its stages on the first ``ROWS`` rows of each segment
 (the paper sees the mantissa addition become significant after about 1k
 traces). If the best final candidate's score, averaged over its
 (segment, step) terms, does not clear the 99.99% Fisher-z bound of that
-prefix, the ladder reruns on twice the rows, up to all of them.
+prefix, the ladder reruns once, on all rows. (On a capture with no
+first-order leak the best stays at the same fraction of the bound at
+every prefix, so growing the prefix step by step only adds passes.)
 """
 
 from __future__ import annotations
@@ -97,9 +99,9 @@ def ladder_limb(
 ) -> LadderResult:
     """Recover candidates for one secret limb of ``total_bits`` bits.
 
-    Scores on the first ``ROWS`` rows of each segment, doubling the
-    prefix while the best candidate's mean per-term score stays at or
-    below the Fisher-z bound of the prefix (see the module docstring).
+    Scores on the first ``ROWS`` rows of each segment, and on all rows
+    when the best candidate's mean per-term score stays at or below the
+    Fisher-z bound of the prefix (see the module docstring).
     """
     if total_bits < 1:
         raise ValueError(f"total_bits must be >= 1, got {total_bits}")
@@ -114,7 +116,7 @@ def ladder_limb(
         bound = fisher_z_threshold(min(seg.n_traces for seg in prefix.segments))
         if rows >= full or mean_best > bound:
             return LadderResult(candidates, scores, stages, n_rows=rows)
-        rows = min(2 * rows, full)
+        rows = full
 
 
 def _ladder(

@@ -54,22 +54,28 @@ __all__ = [
 ]
 
 
+#: Coefficients of c per batched FFT call (n = 512: 16 corpus rows).
+#: Keeps the call's transient arrays near half a megabyte at every n;
+#: 64 rows at n = 512 read 1.8 MB more peak RSS, and ran no faster.
+CORPUS_BLOCK = 8192
+
+
 def fft_to_doubles(f_fft: NDArray[np.complex128]) -> NDArray[np.float64]:
-    """Interleave an (n/2,) complex FFT array into n real doubles.
+    """Interleave ``(..., n/2)`` complex FFT slots into ``(..., n)`` doubles.
 
     Index 2k is Re(slot k), index 2k+1 is Im(slot k) — the order the
     attack walks the secret doubles in.
     """
-    out = np.empty(2 * len(f_fft), dtype=np.float64)
-    out[0::2] = f_fft.real
-    out[1::2] = f_fft.imag
+    out = np.empty(f_fft.shape[:-1] + (2 * f_fft.shape[-1],), dtype=np.float64)
+    out[..., 0::2] = f_fft.real
+    out[..., 1::2] = f_fft.imag
     return out
 
 
 def doubles_to_fft(doubles: NDArray[Any]) -> NDArray[np.complex128]:
-    """Inverse of :func:`fft_to_doubles`."""
+    """Inverse of :func:`fft_to_doubles`, over the last axis."""
     doubles = np.asarray(doubles, dtype=np.float64)
-    return doubles[0::2] + 1j * doubles[1::2]
+    return doubles[..., 0::2] + 1j * doubles[..., 1::2]
 
 
 def _is_normal(patterns: NDArray[np.uint64]) -> NDArray[np.bool_]:
@@ -133,20 +139,22 @@ class CaptureCampaign:
         # other consumer of the bare integer seed) on the same seed value.
         rng = ChaCha20Prng(("capture", self.seed, self.mode, n).__repr__())
         c_fft = np.empty((self.n_traces, n // 2), dtype=np.complex128)
-        if self.mode == "hash":
-            for d in range(self.n_traces):
-                salt = rng.randombytes(params.salt_len)
-                msg = rng.randombytes(32)
-                c = hash_to_point(salt + msg, params.q, n)
-                c_fft[d] = fft.fft(c)
-        else:
-            q = params.q
+        if self.mode == "direct":
             np_rng = np.random.default_rng(
                 np.frombuffer(rng.randombytes(32), dtype=np.uint64)
             )
-            cs = np_rng.integers(0, q, size=(self.n_traces, n))
-            for d in range(self.n_traces):
-                c_fft[d] = fft.fft(cs[d].astype(np.float64))
+            cs = np_rng.integers(0, params.q, size=(self.n_traces, n))
+        block = CORPUS_BLOCK // n
+        for lo in range(0, self.n_traces, block):
+            hi = min(lo + block, self.n_traces)
+            if self.mode == "hash":
+                rows = []
+                for _ in range(lo, hi):
+                    salt = rng.randombytes(params.salt_len)
+                    rows.append(hash_to_point(salt + rng.randombytes(32), params.q, n))
+                c_fft[lo:hi] = fft.fft(np.array(rows, dtype=np.float64))
+            else:
+                c_fft[lo:hi] = fft.fft(cs[lo:hi].astype(np.float64))
         self._c_fft = c_fft
         self._secret_doubles = fft_to_doubles(fft.fft(self.sk.f))
 

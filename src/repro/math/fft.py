@@ -10,6 +10,13 @@ implied because f is real: f(conj z) = conj f(z). This is exactly the
 layout of the reference implementation and of the FALCON specification,
 and it is what ffLDL* / ffSampling recurse over via split/merge.
 
+:func:`fft` and :func:`ifft` transform a whole ``(..., n)`` batch (a
+corpus of known inputs, the rows of a basis) in log2(n) - 1 vectorised
+merge/split levels, and every row is bit-identical to the one-row
+transform. Sizes are read as ``len(a.T)``, the length of the last axis:
+:mod:`repro.sast` treats ``len`` as structure-only, so a size check is
+not a secret-dependent branch to it.
+
 All arrays are ``numpy.complex128``.
 """
 
@@ -25,12 +32,9 @@ __all__ = [
     "ifft",
     "split_fft",
     "merge_fft",
-    "add_fft",
-    "sub_fft",
     "mul_fft",
     "div_fft",
     "adj_fft",
-    "fft_ring_size",
 ]
 
 
@@ -43,37 +47,55 @@ def roots(n: int) -> np.ndarray:
     return np.exp(1j * np.pi * (2 * k + 1) / n)
 
 
-def fft_ring_size(f_fft: np.ndarray) -> int:
-    """Ring degree n for an FFT-domain array (n = 2 * len)."""
-    return 2 * len(f_fft)
-
-
 def fft(f) -> np.ndarray:
-    """Transform coefficients (length n >= 2) to the FFT domain."""
+    """Transform coefficients ``(..., n)``, n >= 2, to the FFT domain ``(..., n/2)``.
+
+    Level by level over every leading index at once: row s of the
+    ``(..., n/2, 1)`` leaf array is the FFT of the length-2 polynomial
+    (f[s], f[s + n/2]), and each of the log2(n) - 1 :func:`merge_fft`
+    levels merges rows t and t + rows/2 (the even and odd halves of one
+    polynomial of the level above) into row t.
+    """
     f = np.asarray(f, dtype=np.float64)
-    n = len(f)
+    n = len(f.T)
     if n < 2 or n & (n - 1):
         raise ValueError(f"length must be a power of two >= 2, got {n}")
-    if n == 2:
-        return np.array([f[0] + 1j * f[1]], dtype=np.complex128)
-    f0 = fft(f[0::2])
-    f1 = fft(f[1::2])
-    return merge_fft(f0, f1)
+    out = (f[..., : n // 2] + 1j * f[..., n // 2 :])[..., None]
+    rows = n // 2
+    while rows > 1:
+        rows //= 2
+        out = merge_fft(out[..., :rows, :], out[..., rows:, :])
+    return out[..., 0, :]
 
 
 def ifft(f_fft: np.ndarray) -> np.ndarray:
-    """Inverse transform back to real coefficients (length n)."""
-    f_fft = np.asarray(f_fft, dtype=np.complex128)
-    m = len(f_fft)
-    if m == 1:
-        return np.array([f_fft[0].real, f_fft[0].imag], dtype=np.float64)
-    f0, f1 = split_fft(f_fft)
-    c0 = ifft(f0)
-    c1 = ifft(f1)
-    out = np.empty(2 * m, dtype=np.float64)
-    out[0::2] = c0
-    out[1::2] = c1
-    return out
+    """Inverse transform ``(..., n/2)`` back to real coefficients ``(..., n)``.
+
+    The levels of :func:`fft` in reverse: :func:`split_fft` turns row t
+    into rows t and t + rows, down to the length-2 leaves.
+    """
+    out = np.asarray(f_fft, dtype=np.complex128)[..., None, :]
+    m = len(out.T)
+    if m < 1 or m & (m - 1):
+        raise ValueError(f"slot count must be a power of two >= 1, got {m}")
+    while m > 1:
+        m //= 2
+        out = np.concatenate(split_fft(out), axis=-2)
+    return np.concatenate([out[..., 0].real, out[..., 0].imag], axis=-1)
+
+
+def _contiguous(w: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The roots ``w`` tiled to the shape of ``x``, and ``x``, C-contiguous.
+
+    Numpy rounds a complex product or quotient differently in its
+    contiguous loop and in its broadcast or strided loops, so every
+    product and quotient of the transform runs on C-contiguous operands
+    of one shape: a batched transform then equals its one-row transforms
+    bit for bit. An ``x`` that already is contiguous is not copied.
+    """
+    tiled = np.empty(x.shape, dtype=np.complex128)
+    tiled[...] = w
+    return tiled, np.ascontiguousarray(x)
 
 
 def merge_fft(f0_fft: np.ndarray, f1_fft: np.ndarray) -> np.ndarray:
@@ -86,45 +108,35 @@ def merge_fft(f0_fft: np.ndarray, f1_fft: np.ndarray) -> np.ndarray:
         f(-zeta) = f0(zeta^2) - zeta * f1(zeta^2)
 
     and f(-zeta_k) = conj(f(zeta_{n/2-1-k})) because -zeta_k is the
-    conjugate of a stored root.
+    conjugate of a stored root. Broadcasts over leading axes.
     """
     f0_fft = np.asarray(f0_fft, dtype=np.complex128)
     f1_fft = np.asarray(f1_fft, dtype=np.complex128)
-    m = len(f0_fft)
-    if len(f1_fft) != m:
-        raise ValueError(f"half-size mismatch: {m} vs {len(f1_fft)}")
-    n = 4 * m
-    w = roots(n)[:m]
-    hi = f0_fft + w * f1_fft
-    lo = f0_fft - w * f1_fft
-    out = np.empty(2 * m, dtype=np.complex128)
-    out[:m] = hi
-    out[m:] = np.conj(lo[::-1])
+    m = len(f0_fft.T)
+    if len(f1_fft.T) != m:
+        raise ValueError(f"half-size mismatch: {m} vs {len(f1_fft.T)}")
+    w, f1 = _contiguous(roots(4 * m)[:m], f1_fft)
+    wf1 = w * f1
+    out = np.empty(f0_fft.shape[:-1] + (2 * m,), dtype=np.complex128)
+    out[..., :m] = f0_fft + wf1
+    out[..., m:] = np.conj((f0_fft - wf1)[..., ::-1])
     return out
 
 
 def split_fft(f_fft: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Inverse of :func:`merge_fft` (FALCON's splitfft)."""
+    """Inverse of :func:`merge_fft` (FALCON's splitfft); broadcasts over
+    leading axes."""
     f_fft = np.asarray(f_fft, dtype=np.complex128)
-    m2 = len(f_fft)
+    m2 = len(f_fft.T)
     if m2 < 2:
         raise ValueError("cannot split below one complex slot")
     m = m2 // 2
-    n = 2 * m2
-    w = roots(n)[:m]
-    u = f_fft[:m]
-    v = np.conj(f_fft[m:][::-1])
+    u = f_fft[..., :m]
+    v = np.conj(f_fft[..., m:][..., ::-1])
     f0 = (u + v) / 2
-    f1 = (u - v) / (2 * w)
+    w2, d = _contiguous(2 * roots(2 * m2)[:m], u - v)
+    f1 = d / w2
     return f0, f1
-
-
-def add_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=np.complex128) + np.asarray(b, dtype=np.complex128)
-
-
-def sub_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.asarray(a, dtype=np.complex128) - np.asarray(b, dtype=np.complex128)
 
 
 def mul_fft(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,10 +3,13 @@
 Polynomials are plain Python lists of ints (index = degree), length n with
 n a power of two. Coefficients are arbitrary precision: NTRUSolve's tower
 descent produces intermediate values thousands of bits wide, which is why
-this module does not use numpy.
+this module does not use numpy. :func:`mul` (field norms, lifts, Babai
+reduction) is one big-int product by Kronecker substitution.
 """
 
 from __future__ import annotations
+
+import struct
 
 __all__ = [
     "check_ring",
@@ -14,7 +17,6 @@ __all__ = [
     "sub",
     "neg",
     "mul",
-    "scalar_mul",
     "adjoint",
     "galois_conjugate",
     "field_norm",
@@ -60,32 +62,43 @@ def neg(f: list[int]) -> list[int]:
     return [-a for a in f]
 
 
-def scalar_mul(f: list[int], c: int) -> list[int]:
-    return [c * a for a in f]
-
-
 def mul(f: list[int], g: list[int]) -> list[int]:
-    """Negacyclic product f*g mod (x^n + 1), schoolbook.
+    """Negacyclic product f*g mod (x^n + 1), by Kronecker substitution.
 
-    O(n^2) big-int multiplications; n <= 1024 in practice and NTRUSolve
-    halves n at each level, so this dominates only at the top of the tower.
+    Each polynomial becomes one big int, a coefficient per byte-aligned
+    slot wide enough for any coefficient of the product; one big-int
+    multiply (CPython's Karatsuba) then gives all 2n - 1 coefficients,
+    which are read back and folded with x^n = -1.
     """
     n = check_ring(f)
     if len(g) != n:
         raise ValueError(f"degree mismatch: {n} vs {len(g)}")
-    out = [0] * n
-    for i, fi in enumerate(f):
-        if fi == 0:
-            continue
-        for j, gj in enumerate(g):
-            if gj == 0:
-                continue
-            k = i + j
-            if k < n:
-                out[k] += fi * gj
-            else:
-                out[k - n] -= fi * gj
-    return out
+    f = [int(c) for c in f]
+    g = [int(c) for c in g]
+    # |product coefficient| < n 2^(bits f + bits g) < 2^(slot bits - 1)
+    width = _bits(f) + _bits(g) + n.bit_length() + 2
+    nbytes = (width + 7) >> 3
+    half = bytes(nbytes - 1) + b"\x80"  # 2^(slot bits - 1), little-endian
+    prod = _pack(f, half) * _pack(g, half) + int.from_bytes(half * (2 * n), "little")
+    # Every slot now holds its coefficient plus ``half``, in [0, 2 half).
+    slots = struct.iter_unpack(f"{nbytes}s", prod.to_bytes(2 * n * nbytes, "little"))
+    bias = int.from_bytes(half, "little")
+    c = [int.from_bytes(s, "little") - bias for (s,) in slots]
+    return [lo - hi for lo, hi in zip(c[:n], c[n:])]
+
+
+def _bits(f: list[int]) -> int:
+    """Bit length of the largest |coefficient|."""
+    return max(max(f), -min(f)).bit_length()
+
+
+def _pack(f: list[int], half: bytes) -> int:
+    """sum_i f_i 2^(8 i len(half)) for |f_i| < ``half``: the biased
+    slots are non-negative, so they pack byte-wise, and the bias of every
+    slot is subtracted at once."""
+    bias = int.from_bytes(half, "little")
+    packed = b"".join((c + bias).to_bytes(len(half), "little") for c in f)
+    return int.from_bytes(packed, "little") - int.from_bytes(half * len(f), "little")
 
 
 def adjoint(f: list[int]) -> list[int]:

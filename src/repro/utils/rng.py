@@ -13,40 +13,47 @@ from __future__ import annotations
 
 import hashlib
 import os
-import struct
+from typing import Any
 
-__all__ = ["chacha20_block", "ChaCha20Prng", "SystemRng"]
+import numpy as np
+from numpy.typing import NDArray
+
+__all__ = ["chacha20_block", "chacha20_blocks", "ChaCha20Prng", "SystemRng"]
 
 _CONSTANTS = (0x61707865, 0x3320646E, 0x79622D32, 0x6B206574)
 _MASK32 = 0xFFFFFFFF
+#: Keystream blocks :class:`ChaCha20Prng` computes per refill.
+_REFILL_BLOCKS = 64
 
 
-def _rotl32(v: int, c: int) -> int:
-    return ((v << c) | (v >> (32 - c))) & _MASK32
+def _rotl32(v: NDArray[Any], c: int) -> NDArray[Any]:
+    return (v << c) | (v >> (32 - c))
 
 
-def _quarter_round(state: list[int], a: int, b: int, c: int, d: int) -> None:
-    state[a] = (state[a] + state[b]) & _MASK32
+def _quarter_round(state: list[NDArray[Any]], a: int, b: int, c: int, d: int) -> None:
+    state[a] = state[a] + state[b]
     state[d] = _rotl32(state[d] ^ state[a], 16)
-    state[c] = (state[c] + state[d]) & _MASK32
+    state[c] = state[c] + state[d]
     state[b] = _rotl32(state[b] ^ state[c], 12)
-    state[a] = (state[a] + state[b]) & _MASK32
+    state[a] = state[a] + state[b]
     state[d] = _rotl32(state[d] ^ state[a], 8)
-    state[c] = (state[c] + state[d]) & _MASK32
+    state[c] = state[c] + state[d]
     state[b] = _rotl32(state[b] ^ state[c], 7)
 
 
-def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
-    """One 64-byte ChaCha20 keystream block (RFC 8439 section 2.3)."""
+def chacha20_blocks(key: bytes, counter: int, nonce: bytes, count: int) -> bytes:
+    """``count`` consecutive 64-byte ChaCha20 keystream blocks from block
+    ``counter`` on (RFC 8439 section 2.3), one uint32 lane per block."""
     if len(key) != 32:
         raise ValueError(f"key must be 32 bytes, got {len(key)}")
     if len(nonce) != 12:
         raise ValueError(f"nonce must be 12 bytes, got {len(nonce)}")
-    init = list(_CONSTANTS)
-    init += list(struct.unpack("<8I", key))
-    init.append(counter & _MASK32)
-    init += list(struct.unpack("<3I", nonce))
-    state = init.copy()
+    init = np.empty((16, count), dtype=np.uint32)
+    init[0:4] = np.array(_CONSTANTS, dtype=np.uint32)[:, None]
+    init[4:12] = np.frombuffer(key, dtype="<u4")[:, None]
+    init[12] = (counter + np.arange(count, dtype=np.uint64)) & _MASK32
+    init[13:16] = np.frombuffer(nonce, dtype="<u4")[:, None]
+    state = list(init)
     for _ in range(10):
         _quarter_round(state, 0, 4, 8, 12)
         _quarter_round(state, 1, 5, 9, 13)
@@ -56,8 +63,12 @@ def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
         _quarter_round(state, 1, 6, 11, 12)
         _quarter_round(state, 2, 7, 8, 13)
         _quarter_round(state, 3, 4, 9, 14)
-    out = [(s + i) & _MASK32 for s, i in zip(state, init)]
-    return struct.pack("<16I", *out)
+    return (np.stack(state) + init).T.astype("<u4").tobytes()
+
+
+def chacha20_block(key: bytes, counter: int, nonce: bytes) -> bytes:
+    """One 64-byte ChaCha20 keystream block (RFC 8439 section 2.3)."""
+    return chacha20_blocks(key, counter, nonce, 1)
 
 
 class ChaCha20Prng:
@@ -77,15 +88,22 @@ class ChaCha20Prng:
         self._nonce = bytes(12)
         self._counter = 0
         self._buffer = b""
+        self._pos = 0
 
     def randombytes(self, n: int) -> bytes:
         """Return the next ``n`` bytes of the keystream."""
         if n < 0:
             raise ValueError(f"n must be non-negative, got {n}")
-        while len(self._buffer) < n:
-            self._buffer += chacha20_block(self._key, self._counter, self._nonce)
-            self._counter += 1
-        out, self._buffer = self._buffer[:n], self._buffer[n:]
+        short = n - (len(self._buffer) - self._pos)
+        if short > 0:
+            count = max(_REFILL_BLOCKS, -(-short // 64))
+            self._buffer = self._buffer[self._pos:] + chacha20_blocks(
+                self._key, self._counter, self._nonce, count
+            )
+            self._pos = 0
+            self._counter += count
+        out = self._buffer[self._pos:self._pos + n]
+        self._pos += n
         return out
 
     def randint(self, lo: int, hi: int) -> int:

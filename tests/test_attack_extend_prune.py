@@ -20,6 +20,7 @@ from repro.attack.extend_prune import (
     recover_mantissa,
     refine_limb,
 )
+from repro.attack import ladder as ladder_mod
 from repro.attack.ladder import LOW_LIMB_STEPS, ROWS, ladder_limb
 from repro.attack.sign_exp import ExponentRecovery, recover_exponent, recover_sign
 from repro.falcon import FalconParams, keygen
@@ -132,6 +133,27 @@ class TestLadder:
         assert want.n_rows == got.n_rows == ROWS
         np.testing.assert_array_equal(got.candidates, want.candidates)
         np.testing.assert_array_equal(got.scores, want.scores)
+
+    def test_guard_reruns_once_on_all_rows(self, ts0, monkeypatch):
+        """Traces with no leak never clear the bound; the ladder then costs
+        the prefix and one all-row pass, not a pass per larger prefix."""
+        ts = ts0.head(6000)
+        rng = np.random.default_rng(2)
+        noise = TraceSet(ts.layout, [
+            Segment(seg.known_y, rng.normal(10.0, 10.0, seg.traces.shape), seg.name)
+            for seg in ts.segments
+        ], meta=ts.meta)
+        passes = []
+        inner = ladder_mod._ladder
+
+        def counted(traceset, *args):
+            passes.append(traceset.segments[0].n_traces)
+            return inner(traceset, *args)
+
+        monkeypatch.setattr(ladder_mod, "_ladder", counted)
+        res = ladder_limb(noise, LOW_LIMB_STEPS, total_bits=LOW_BITS)
+        assert passes == [ROWS, 6000]
+        assert res.n_rows == 6000
 
     def test_noisy_capture_grows_the_prefix(self, campaign):
         """At σ = 30 the best candidate does not clear the Fisher-z bound

@@ -8,6 +8,7 @@ from repro.attack.extend_prune import MantissaRecovery
 from repro.attack.key_recovery import (
     KeyRecoveryError,
     _filter_by_magnitude,
+    _invfft_basis,
     rebuild_signing_key,
     recover_f,
     recover_g_from_public,
@@ -17,7 +18,7 @@ from repro.attack.sign_exp import ExponentRecovery, SignRecovery, fft_f_exponent
 from repro.falcon import FalconParams, keygen, verify
 from repro.fpr.emu import compose
 from repro.fpr.trace import LOW_BITS
-from repro.leakage.capture import fft_to_doubles
+from repro.leakage.capture import doubles_to_fft, fft_to_doubles
 from repro.math import fft, poly
 
 
@@ -103,6 +104,15 @@ def rebuild_planted(sk, pk, errors):
 
 
 class TestRepairExponents:
+    @pytest.mark.parametrize("n", [8, 64, 512])
+    def test_basis_is_the_stack_of_unit_inverse_transforms(self, n):
+        """One batched invFFT gives the basis bit for bit, C-ordered like
+        the column stack of n one-row transforms."""
+        mat = _invfft_basis(n)
+        cols = np.stack([fft.ifft(doubles_to_fft(unit)) for unit in np.eye(n)], axis=1)
+        assert mat.flags.c_contiguous
+        assert mat.tobytes() == cols.tobytes()
+
     def test_identity_when_top1_correct(self, kp):
         sk, pk = kp
         pats = true_patterns(sk)

@@ -1,5 +1,7 @@
 """Full-scale FALCON-512/1024 integration tests (slower)."""
 
+import hashlib
+
 import pytest
 
 from repro.falcon import FalconParams, keygen, sign, verify
@@ -20,6 +22,18 @@ class TestFalcon512:
         # coefficient ranges from the paper: f, g within [-127, 127]
         assert max(abs(c) for c in sk.f) <= 127
         assert max(abs(c) for c in sk.g) <= 127
+
+    def test_key_is_pinned(self, kp):
+        """(f, g, F, G) and h of this seed, as produced before the ring
+        product and the FFT were rewritten: keygen stays bit-identical."""
+        sk, pk = kp
+        fg = repr((sk.f, sk.g, sk.big_f, sk.big_g)).encode()
+        assert hashlib.sha256(fg).hexdigest() == (
+            "21844287a88f036c3bc5b7a6096ec43903b8d30ecd01cb2d1e23f905c92072c5"
+        )
+        assert hashlib.sha256(repr(pk.h).encode()).hexdigest() == (
+            "a5a0c497cc20c494922a067dee06ac269e8cb52c3b511f1498dde1b460e1fb99"
+        )
 
     def test_sign_verify(self, kp):
         sk, pk = kp

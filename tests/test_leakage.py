@@ -1,5 +1,7 @@
 """Tests for the leakage models, device, synthesizer and capture layers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,15 @@ class TestDoublesLayout:
         f_fft = np.array([1 + 2j, 3 + 4j])
         np.testing.assert_array_equal(fft_to_doubles(f_fft), [1, 2, 3, 4])
 
+    def test_leading_axes_map_row_by_row(self):
+        rng = np.random.default_rng(6)
+        f_fft = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+        doubles = fft_to_doubles(f_fft)
+        assert doubles.shape == (3, 8)
+        for row, d in zip(f_fft, doubles):
+            np.testing.assert_array_equal(d, fft_to_doubles(row))
+        np.testing.assert_array_equal(doubles_to_fft(doubles), f_fft)
+
 
 class TestCapture:
     def test_traceset_structure(self, kp):
@@ -228,6 +239,21 @@ class TestCapture:
         np.testing.assert_array_equal(a.c_fft, b.c_fft)
         c = CaptureCampaign(sk=sk, n_traces=64, mode="direct", seed=6)
         assert not np.array_equal(a.c_fft, c.c_fft)
+
+    @pytest.mark.parametrize("mode, digest", [
+        ("direct", "193fcca024bdde7600070ba23927752c8f9850d224b87f331f1104b57d0bd0b8"),
+        ("hash", "c25a2e723140668ce5aaf3bd2e8150b5c0eede817acd7b9d909c6005b6664bf6"),
+    ])
+    def test_corpus_is_pinned(self, kp, mode, digest):
+        """1100 rows at n = 16 (two full FFT blocks and a partial one) give
+        the corpus recorded from the one-transform-per-row build, bit for
+        bit."""
+        sk, _ = kp
+        camp = CaptureCampaign(sk=sk, n_traces=1100, mode=mode, seed=5)
+        assert hashlib.sha256(camp.c_fft.tobytes()).hexdigest() == digest
+        assert hashlib.sha256(camp.secret_doubles.tobytes()).hexdigest() == (
+            "9e8951b01bac2efce8490dd8b631d75a3ac054cea01530341da665adf5748734"
+        )
 
     def test_capture_meta_reports_kept_counts(self, kp):
         """The traceset records both the requested signings and the rows

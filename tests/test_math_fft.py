@@ -48,6 +48,8 @@ class TestTransform:
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
             fft.fft([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            fft.ifft(np.ones(3, dtype=complex))
 
     def test_linearity(self):
         n = 16
@@ -118,3 +120,93 @@ class TestRingOps:
         f = random_poly(n, 11)
         F = fft.fft(f)
         assert (2.0 / n) * np.sum(np.abs(F) ** 2) == pytest.approx(float(f @ f))
+
+
+# -- oracle: the recursive transform the batched one replaced -------------
+
+
+def _oracle_merge(f0, f1):
+    m = len(f0)
+    w = fft.roots(4 * m)[:m]
+    out = np.empty(2 * m, dtype=np.complex128)
+    out[:m] = f0 + w * f1
+    out[m:] = np.conj((f0 - w * f1)[::-1])
+    return out
+
+
+def _oracle_split(f_fft):
+    m = len(f_fft) // 2
+    w = fft.roots(2 * len(f_fft))[:m]
+    u = f_fft[:m]
+    v = np.conj(f_fft[m:][::-1])
+    return (u + v) / 2, (u - v) / (2 * w)
+
+
+def oracle_fft(f):
+    """One recursion per half, as in the FALCON specification."""
+    f = np.asarray(f, dtype=np.float64)
+    if len(f) == 2:
+        return np.array([f[0] + 1j * f[1]], dtype=np.complex128)
+    return _oracle_merge(oracle_fft(f[0::2]), oracle_fft(f[1::2]))
+
+
+def oracle_ifft(f_fft):
+    f_fft = np.asarray(f_fft, dtype=np.complex128)
+    if len(f_fft) == 1:
+        return np.array([f_fft[0].real, f_fft[0].imag], dtype=np.float64)
+    f0, f1 = _oracle_split(f_fft)
+    out = np.empty(2 * len(f_fft), dtype=np.float64)
+    out[0::2] = oracle_ifft(f0)
+    out[1::2] = oracle_ifft(f1)
+    return out
+
+
+def _inputs(n, seed):
+    """Integer, Gaussian, +-1e300-scaled and signed-zero rows of length n."""
+    rng = np.random.default_rng(seed)
+    zeros = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    zeros[rng.random(n) < 0.3] = 1.0
+    return np.stack([
+        rng.integers(-12289, 12289, n).astype(np.float64),
+        rng.standard_normal(n),
+        rng.standard_normal(n) * 1e300 / n,
+        -rng.standard_normal(n) * 1e-300,
+        zeros,
+        np.where(rng.random(n) < 0.5, -0.0, 0.0),
+    ])
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+class TestBatchedAgainstRecursive:
+    @pytest.mark.parametrize("n", [2 ** k for k in range(1, 11)])
+    def test_fft_rows_and_batch_match_the_recursion(self, n):
+        rows = _inputs(n, n)
+        expected = np.stack([oracle_fft(r) for r in rows])
+        for r, e in zip(rows, expected):
+            _same_bits(fft.fft(r), e)
+        _same_bits(fft.fft(rows), expected)
+        _same_bits(fft.fft(rows.reshape(2, 3, n)), expected.reshape(2, 3, -1))
+
+    @pytest.mark.parametrize("n", [2 ** k for k in range(1, 11)])
+    def test_ifft_rows_and_batch_match_the_recursion(self, n):
+        slots = np.stack([oracle_fft(r) for r in _inputs(n, n + 1)])
+        slots = np.concatenate([slots, slots * (1 - 2j), np.conj(slots)])
+        expected = np.stack([oracle_ifft(s) for s in slots])
+        for s, e in zip(slots, expected):
+            _same_bits(fft.ifft(s), e)
+        _same_bits(fft.ifft(slots), expected)
+
+    def test_split_and_merge_broadcast_over_rows(self):
+        slots = np.stack([oracle_fft(r) for r in _inputs(64, 5)])
+        f0, f1 = fft.split_fft(slots)
+        for s, a, b in zip(slots, f0, f1):
+            e0, e1 = _oracle_split(s)
+            _same_bits(a, e0)
+            _same_bits(b, e1)
+            _same_bits(fft.merge_fft(a, b), _oracle_merge(a, b))
+        _same_bits(fft.merge_fft(f0, f1), np.stack([_oracle_merge(a, b) for a, b in zip(f0, f1)]))

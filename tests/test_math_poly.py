@@ -1,5 +1,8 @@
 """Tests for exact integer polynomial arithmetic in Z[x]/(x^n + 1)."""
 
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -129,3 +132,44 @@ class TestModQ:
         g = [5, -3, 2, 0, 0, 7, 1, 1]
         exact = [c % self.Q for c in poly.mul(f, g)]
         assert poly.mul_mod_q(f, g, self.Q) == exact
+
+
+def schoolbook_mul(f, g):
+    """The O(n^2) negacyclic product the Kronecker one replaced."""
+    n = len(f)
+    out = [0] * n
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            if i + j < n:
+                out[i + j] += fi * gj
+            else:
+                out[i + j - n] -= fi * gj
+    return out
+
+
+class TestKroneckerAgainstSchoolbook:
+    @pytest.mark.parametrize("n", [2 ** k for k in range(11)])
+    def test_random_sizes(self, n):
+        rng = random.Random(n)
+        for bits in (1, 8, 60, 1000):
+            f = [rng.randint(-(2 ** bits), 2 ** bits) for _ in range(n)]
+            g = [rng.randint(-(2 ** (bits // 2 + 1)), 2 ** (bits // 2 + 1)) for _ in range(n)]
+            assert poly.mul(f, g) == schoolbook_mul(f, g)
+            assert poly.mul([0] * n, f) == [0] * n
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 128])
+    def test_zero_and_extreme_polynomials(self, n):
+        zero = [0] * n
+        big = [(-1) ** i * (2 ** 1000 - 1) for i in range(n)]
+        assert poly.mul(zero, zero) == zero
+        assert poly.mul(zero, big) == zero
+        assert poly.mul(big, big) == schoolbook_mul(big, big)
+        assert poly.mul(big, [-c for c in big]) == schoolbook_mul(big, [-c for c in big])
+
+    def test_numpy_int64_coefficients(self):
+        rng = np.random.default_rng(3)
+        f = list(rng.integers(-30, 30, 64))
+        g = list(rng.integers(-(2 ** 62), 2 ** 62, 64))
+        out = poly.mul(f, g)
+        assert out == schoolbook_mul([int(c) for c in f], [int(c) for c in g])
+        assert all(type(c) is int for c in out)

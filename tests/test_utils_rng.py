@@ -6,7 +6,7 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.utils.rng import ChaCha20Prng, SystemRng, chacha20_block
+from repro.utils.rng import ChaCha20Prng, SystemRng, chacha20_block, chacha20_blocks
 
 
 class TestChaCha20Block:
@@ -43,8 +43,30 @@ class TestChaCha20Block:
         keystream = cipher.encryptor().update(bytes(64))
         assert chacha20_block(key, counter, nonce) == keystream
 
+    def test_rfc8439_block_vector(self):
+        """RFC 8439 section 2.3.2: key 00..1f, counter 1, nonce 0:4a:0."""
+        nonce = bytes.fromhex("000000090000004a00000000")
+        expected = bytes.fromhex(
+            "10f1e7e4d13b5915500fdd1fa32071c4c7d1f4c733c068030422aa9ac3d46c4e"
+            "d2826446079faa0914c2d705d98b02a2b5129cd1de164eb9cbd083e8a2503c4e"
+        )
+        assert chacha20_block(bytes(range(32)), 1, nonce) == expected
+
+    def test_blocks_are_consecutive_single_blocks(self):
+        """Lane i is block counter + i, wrapping at 2^32 like the state word."""
+        key, nonce = bytes(range(32)), bytes(range(12))
+        for counter in (0, 5, (1 << 32) - 2):
+            singles = b"".join(chacha20_block(key, counter + i, nonce) for i in range(5))
+            assert chacha20_blocks(key, counter, nonce, 5) == singles
+
 
 class TestChaCha20Prng:
+    def test_stream_is_the_block_sequence_across_refills(self):
+        rng = ChaCha20Prng(b"refill")
+        reads = b"".join(rng.randombytes(k) for k in (3, 4093, 1, 70, 9000, 64))
+        blocks = b"".join(chacha20_block(rng._key, i, bytes(12)) for i in range(214))
+        assert reads == blocks[: len(reads)]
+
     def test_deterministic(self):
         a = ChaCha20Prng(b"seed").randombytes(100)
         b = ChaCha20Prng(b"seed").randombytes(100)
