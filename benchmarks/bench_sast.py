@@ -1,7 +1,7 @@
 """SAST wall-time: cold analysis vs the incremental summary cache.
 
 ``make sast`` runs the verify gate with ``--cache .sast-cache.json``;
-this bench quantifies what that buys. Four phases over a private copy
+this bench quantifies what that buys. Five phases over a private copy
 of ``src/repro`` (the real tree is never touched):
 
 * **cold** — empty cache, every module analyzed;
@@ -17,14 +17,7 @@ of ``src/repro`` (the real tree is never touched):
   against the real contract's ``variants`` section on top of the cold
   findings (the leak-class lattice and masking taint domain already
   ran inside the analysis phases — this isolates the gate layered on
-  top of them);
-* **rank** — the exploitability triage made operational: the shipped
-  contract is ranked, the top hypothesis-computable NTT/FFT entry is
-  compiled into its ``contract:<id>`` traced surface, and the full
-  capture/attack stack recovers the entry's live operand stream at
-  n=8. The stage times ranking + end-to-end recovery together, so a
-  regression in either the triage pass or the settrace capture path
-  shows up in its printed wall time.
+  top of them).
 
 The bench asserts exactly which modules each edit re-analyzed, so the
 incremental claim is checked, and prints every phase's wall time.
@@ -36,12 +29,8 @@ import time
 
 from repro.sast.cache import run_with_cache
 from repro.sast.contract import infer_leak_class, load_contract
-from repro.sast.exploit import rank_entries
 from repro.sast.project import load_project
 from repro.sast.variants import check_variants_static, normalize_line
-
-_RANK_TRACES = 512
-_RANK_NOISE = 2.0
 
 _LEAF_EDIT = os.path.join("analysis", "key_rank.py")
 _CORE_EDIT = os.path.join("fpr", "emu.py")
@@ -92,38 +81,6 @@ def test_sast_cold_vs_warm_cache(tmp_path, benchmark):
         )
         timings[name] = time.perf_counter() - t0
 
-    rank_out = {}
-
-    def phase_rank(name):
-        # heavy imports stay local: every other phase is numpy-free
-        from repro.attack import AttackConfig, recover_full_key
-        from repro.falcon import FalconParams, keygen
-        from repro.leakage import CaptureCampaign, DeviceModel
-
-        contract_path = os.path.abspath(
-            os.path.join(os.path.dirname(__file__), "..", "leakage-contract.json")
-        )
-        os.environ["REPRO_CONTRACT"] = contract_path
-        t0 = time.perf_counter()
-        ranked = rank_entries(contract)
-        entry = next(
-            e for e in ranked
-            if e.path in ("math/ntt.py", "math/fft.py")
-            and e.exploitability.hypothesis_computable
-        )
-        sk, pk = keygen(FalconParams.get(8), seed=b"bench-rank")
-        campaign = CaptureCampaign(
-            sk=sk,
-            device=DeviceModel(noise_sigma=_RANK_NOISE),
-            n_traces=_RANK_TRACES,
-            seed=5,
-            target=f"contract:{entry.exploitability.entry_id}",
-        )
-        result = recover_full_key(campaign, pk, config=AttackConfig())
-        timings[name] = time.perf_counter() - t0
-        rank_out["ranked"] = ranked
-        rank_out["result"] = result
-
     def run_all():
         phase("cold")
         phase("warm_noop")
@@ -132,7 +89,6 @@ def test_sast_cold_vs_warm_cache(tmp_path, benchmark):
         touch(_CORE_EDIT)
         phase("warm_core_edit")
         phase_variants("variant_static")
-        phase_rank("rank")
 
     benchmark.pedantic(run_all, rounds=1, iterations=1)
 
@@ -157,13 +113,5 @@ def test_sast_cold_vs_warm_cache(tmp_path, benchmark):
     assert core_findings == cold_findings
     # the shipped variants satisfy their contract claims
     assert variant_out["variant_static"] == []
-
-    # the triage ranking is total over CONFIRMED entries and the top
-    # NTT/FFT entry's traced surface recovers its operand stream exactly
-    ranked = rank_out["ranked"]
-    result = rank_out["result"]
-    assert all(e.exploitability is not None for e in ranked)
-    assert result.records and all(r.correct for r in result.records)
-    assert len(result.recovered_values) == len(result.records)
 
     print("\nsast phases: " + ", ".join(f"{k} {v:.2f}s" for k, v in timings.items()))

@@ -242,9 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sk", type=str, required=True, help="victim secret key")
     p.add_argument(
         "--target", type=str, default=DEFAULT_TARGET,
-        help=f"leakage surface to capture (registered: {target_names}; "
-        "'contract:<id>' traces any ranked leakage-contract entry, see "
-        "repro-sast rank)",
+        help=f"leakage surface to capture (registered: {target_names})",
     )
     p.add_argument(
         "--index", type=int, default=0,
@@ -293,9 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--target", type=str, default=DEFAULT_TARGET,
         help="leakage surface to attack: 'fpr-mul' is the paper's key "
-        "extraction, 'samplerz' recovers the ffSampling sampler transcript, "
-        "'contract:<id>' recovers the live operands of any ranked "
-        f"leakage-contract entry (registered: {target_names})",
+        "extraction, 'samplerz' recovers the ffSampling sampler transcript "
+        f"(registered: {target_names})",
     )
     p.add_argument(
         "--message", type=str,

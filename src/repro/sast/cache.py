@@ -49,13 +49,11 @@ from repro.sast.project import Project
 __all__ = [
     "CacheStats",
     "analyzer_digest",
-    "contract_digest",
     "file_digests",
     "run_with_cache",
 ]
 
-#: v2 adds the leakage-contract digest to the key: replayed findings
-#: must not survive a re-triage of the contract they were checked against
+#: cache file layout version; a mismatch is a cold run, never an error
 _FORMAT_VERSION = 2
 
 
@@ -91,17 +89,6 @@ def analyzer_digest() -> str:
                 h.update(fh.read())
                 h.update(b"\x00")
     return h.hexdigest()
-
-
-def contract_digest(path: str | None) -> str:
-    """Content hash of the leakage contract ("" when there is none)."""
-    if not path:
-        return ""
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError:
-        return ""
 
 
 def file_digests(project: Project) -> dict[str, str]:
@@ -250,7 +237,7 @@ def _decode_finding(raw: dict[str, Any], root: str) -> Finding:
 # -- the cached runner -----------------------------------------------------
 
 
-def _load(path: str, analyzer: str, contract: str) -> dict[str, Any] | None:
+def _load(path: str, analyzer: str) -> dict[str, Any] | None:
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
@@ -260,8 +247,6 @@ def _load(path: str, analyzer: str, contract: str) -> dict[str, Any] | None:
         return None
     if data.get("analyzer") != analyzer:
         return None
-    if data.get("contract", "") != contract:
-        return None
     if not isinstance(data.get("files"), dict) or not isinstance(
         data.get("findings"), dict
     ):
@@ -270,13 +255,13 @@ def _load(path: str, analyzer: str, contract: str) -> dict[str, Any] | None:
 
 
 def run_with_cache(
-    project: Project, cache_path: str, contract_digest: str = ""
+    project: Project, cache_path: str
 ) -> tuple[list[Finding], CacheStats]:
     """``collect_findings`` with content-hash reuse (see module docstring).
 
-    ``contract_digest`` joins the analyzer digest in the cache key: a
-    re-triaged contract invalidates the whole cache rather than letting
-    results checked against the old contract replay silently.
+    The findings depend only on the source and the analyzer, so those
+    two digests are the whole key: the leakage contract is checked
+    against the findings afterwards and never enters it.
     """
     from repro.sast.cli import collect_findings
     from repro.utils.io import atomic_write_text
@@ -284,13 +269,12 @@ def run_with_cache(
     analyzer = analyzer_digest()
     digests = file_digests(project)
     stats = CacheStats(total_modules=len(project.modules))
-    cached = _load(cache_path, analyzer, contract_digest)
+    cached = _load(cache_path, analyzer)
 
     def persist(findings_by_module: dict[str, list[dict[str, Any]]]) -> None:
         atomic_write_text(cache_path, json.dumps({
             "version": _FORMAT_VERSION,
             "analyzer": analyzer,
-            "contract": contract_digest,
             "files": digests,
             "findings": findings_by_module,
         }, indent=1, sort_keys=True) + "\n")

@@ -11,7 +11,6 @@ Typical invocations::
 
     repro-sast verify src/repro --contract leakage-contract.json
     repro-sast path/to/pkg --format json        # machine-readable report
-    repro-sast rank --top 10                    # exploitability triage
 """
 
 from __future__ import annotations
@@ -89,27 +88,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _collect_maybe_cached(
-    project: Project,
-    cache_path: str | None,
-    contract_path: str | None = None,
-) -> list[Finding]:
-    """All findings, through the incremental cache when one is configured.
-
-    The cache key covers the contract digest as well as source content,
-    so editing the contract (re-triage, fresh oracle stats) invalidates
-    replayed results. Modes without an explicit ``--contract`` flag fall
-    back to the default contract path when the file exists, keeping the
-    analyze/verify/rank modes on a single shared cache entry.
-    """
+def _collect_maybe_cached(project: Project, cache_path: str | None) -> list[Finding]:
+    """All findings, through the incremental cache when one is configured."""
     if cache_path is None:
         return collect_findings(project)
-    from repro.sast.cache import contract_digest, run_with_cache
+    from repro.sast.cache import run_with_cache
 
-    if contract_path is None and os.path.exists(_DEFAULT_CONTRACT):
-        contract_path = _DEFAULT_CONTRACT
-    digest = contract_digest(contract_path) if contract_path else ""
-    findings, stats = run_with_cache(project, cache_path, contract_digest=digest)
+    findings, stats = run_with_cache(project, cache_path)
     print(f"repro-sast: {stats.describe()}", file=sys.stderr)
     return findings
 
@@ -195,7 +180,7 @@ def _run_verify(argv: list[str]) -> int:
         print(f"repro-sast: error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 
-    findings = _collect_maybe_cached(project, args.cache, args.contract)
+    findings = _collect_maybe_cached(project, args.cache)
 
     if args.variant is not None:
         if args.write_contract:
@@ -233,9 +218,7 @@ def _run_verify(argv: list[str]) -> int:
             except (ValueError, OSError) as exc:
                 print(f"repro-sast: warning: ignoring previous contract: {exc}",
                       file=sys.stderr)
-        contract = build_contract(
-            findings, project.root, report, previous, project=project
-        )
+        contract = build_contract(findings, project.root, report, previous)
         atomic_write_text(args.contract, render_contract(contract))
         unreached = [e for e in contract.entries if e.verdict == "UNREACHED"]
         print(
@@ -357,191 +340,12 @@ def _run_variant(args, project, findings) -> int:
     return _finish_verify(args, project, contract, findings, violations, mode)
 
 
-def _build_rank_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-sast rank",
-        description="Exploitability triage: score every contract entry by "
-        "secret source, operand range, hypothesis computability and the "
-        "recorded oracle statistics, most attackable first.",
-    )
-    parser.add_argument(
-        "root", nargs="?", default="src/repro",
-        help="package directory to analyze (default: src/repro)",
-    )
-    parser.add_argument(
-        "--package", default=None,
-        help="import name of the root (default: the directory's basename)",
-    )
-    parser.add_argument(
-        "--contract", default=_DEFAULT_CONTRACT, metavar="PATH",
-        help=f"leakage contract file (default: {_DEFAULT_CONTRACT})",
-    )
-    parser.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default: text)",
-    )
-    parser.add_argument(
-        "--top", type=int, default=None, metavar="N",
-        help="only show the N highest-ranked entries",
-    )
-    parser.add_argument(
-        "--explain", action="store_true",
-        help="also report the dataflow-vs-heuristic leak_class "
-        "disagreements CT006 tolerates for heuristic-sourced entries",
-    )
-    parser.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="incremental summary cache file (see the analyze mode)",
-    )
-    return parser
-
-
-def _explain_rows(contract, findings, project) -> list[dict[str, object]]:
-    """Heuristic-sourced entries: recorded vs keyword vs dataflow class.
-
-    These are exactly the classifications CT006 cannot cross-check
-    against the component lattice — the dataflow pass produced no
-    component for them, so the recorded class rests on the keyword
-    fallback (or a manual review that overrode it).
-    """
-    from repro.sast.contract import assign_occurrences, fingerprint, infer_leak_class
-
-    by_fp = {
-        fingerprint(f, project.root): f
-        for f in assign_occurrences(list(findings))
-    }
-    rows: list[dict[str, object]] = []
-    for entry in contract.entries + contract.refuted:
-        if not entry.rule.startswith("SF"):
-            continue
-        if entry.leak_class_source != "heuristic":
-            continue
-        finding = by_fp.get(entry.fingerprint)
-        keyword = infer_leak_class(
-            entry.rule, entry.path, entry.function, entry.line_text
-        )
-        rows.append({
-            "entry": entry.describe(),
-            "recorded": entry.leak_class,
-            "keyword": keyword,
-            "dataflow": (finding.leak_class or None) if finding else None,
-            "agrees": entry.leak_class == keyword,
-        })
-    return rows
-
-
-def _run_rank(argv: list[str]) -> int:
-    from dataclasses import replace
-
-    from repro.sast.contract import load_contract
-    from repro.sast.exploit import rank_entries, score_contract
-
-    parser = _build_rank_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_ERROR if exc.code not in (0, None) else EXIT_CLEAN
-
-    try:
-        project = load_project(args.root, package=args.package)
-    except (FileNotFoundError, NotADirectoryError, OSError) as exc:
-        print(f"repro-sast: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    try:
-        contract = load_contract(args.contract)
-    except FileNotFoundError:
-        print(f"repro-sast: error: contract not found: {args.contract}",
-              file=sys.stderr)
-        return EXIT_ERROR
-    except (ValueError, OSError) as exc:
-        print(f"repro-sast: error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-
-    findings = _collect_maybe_cached(project, args.cache, args.contract)
-    # re-derive every block from static facts + the recorded oracle
-    # statistics: the rank never silently trusts a stale score
-    blocks = score_contract(contract.entries, findings, project)
-    contract.entries = [
-        replace(e, exploitability=blocks.get(e.fingerprint, e.exploitability))
-        for e in contract.entries
-    ]
-    ranked = rank_entries(contract)
-    shown = ranked if args.top is None else ranked[: max(args.top, 0)]
-
-    if args.format == "json":
-        import json as _json
-
-        doc: dict[str, object] = {
-            "contract": args.contract,
-            "ranked": [
-                {
-                    "rank": i + 1,
-                    "rule": e.rule,
-                    "path": e.path,
-                    "function": e.function,
-                    "line_text": e.line_text,
-                    "occurrence": e.occurrence,
-                    "leak_class": e.leak_class,
-                    "leak_class_source": e.leak_class_source,
-                    "exploitability": e.exploitability.to_jsonable(),
-                }
-                for i, e in enumerate(shown)
-                if e.exploitability is not None
-            ],
-        }
-        if args.explain:
-            doc["heuristic_disagreements"] = _explain_rows(
-                contract, findings, project
-            )
-        print(_json.dumps(doc, indent=1, sort_keys=True))
-        return EXIT_CLEAN
-
-    print(f"{'#':>3} {'score':>7} {'id':12} {'class':12} "
-          f"{'comp':4} {'bits':>6} {'snr':>10}  where")
-    for i, e in enumerate(shown):
-        x = e.exploitability
-        assert x is not None
-        bits = f"{x.guess_space_bits:.2f}" if x.guess_space_bits is not None else "-"
-        print(
-            f"{i + 1:>3} {x.score:>7.4f} {x.entry_id:12} {e.leak_class:12} "
-            f"{'yes' if x.hypothesis_computable else 'no':4} {bits:>6} "
-            f"{x.oracle.snr_proxy:>10.3g}  {e.rule} {e.path}::{e.function}"
-        )
-        print(f"{'':25}'{e.line_text}'")
-    print(
-        f"repro-sast: ranked {len(ranked)} CONFIRMED entr"
-        f"{'y' if len(ranked) == 1 else 'ies'}"
-        + (f" (showing {len(shown)})" if len(shown) != len(ranked) else ""),
-        file=sys.stderr,
-    )
-
-    if args.explain:
-        rows = _explain_rows(contract, findings, project)
-        disagreeing = [r for r in rows if not r["agrees"]]
-        print()
-        print(
-            f"heuristic-sourced leak classes (CT006 cannot lattice-check "
-            f"these): {len(rows)} entries, {len(disagreeing)} where the "
-            f"recorded class overrides the keyword fallback"
-        )
-        for r in rows:
-            mark = "  " if r["agrees"] else "! "
-            dataflow = r["dataflow"] or "none"
-            print(
-                f"{mark}recorded={r['recorded']} keyword={r['keyword']} "
-                f"dataflow={dataflow}  {r['entry']}"
-            )
-    return EXIT_CLEAN
-
-
 def main(argv: list[str] | None = None) -> int:
     try:
         if argv is None:
             argv = sys.argv[1:]
         if argv and argv[0] == "verify":
             return _run_verify(argv[1:])
-        if argv and argv[0] == "rank":
-            return _run_rank(argv[1:])
         return _run(argv)
     except BrokenPipeError:
         # stdout reader went away (e.g. `repro-sast ... | head`); exit

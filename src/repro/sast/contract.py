@@ -31,12 +31,8 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING, Any, Iterable, Mapping
+from typing import Any, Iterable
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sast.project import Project
-
-from repro.sast.exploit import Exploitability, score_contract
 from repro.sast.findings import Finding
 from repro.sast.oracle import CONFIRMED, LIVE, REFUTED, UNREACHED, OracleReport
 from repro.sast.variants import (
@@ -62,9 +58,8 @@ __all__ = [
     "verify_contract",
 ]
 
-#: schema v2 adds per-entry ``exploitability`` blocks (score, guess
-#: space, hypothesis computability, oracle operand statistics); v1
-#: files still load — their entries simply carry no block yet
+#: files are written as v2 and v1 files still load; the parser reads
+#: only the keys below and ignores any other per-entry key
 _FORMAT_VERSION = 2
 _ACCEPTED_VERSIONS = (1, 2)
 
@@ -129,10 +124,6 @@ class ContractEntry:
     #: checked against the taint component lattice on every verify
     #: (CT006); "heuristic" entries came from the keyword fallback.
     leak_class_source: str = "heuristic"
-    #: schema v2 triage block (None for v1 files and refuted entries);
-    #: deliberately NOT part of the fingerprint, so score drift never
-    #: reads as a stale entry
-    exploitability: Exploitability | None = None
 
     @property
     def fingerprint(self) -> Fingerprint:
@@ -169,11 +160,6 @@ class Contract:
 def _parse_entry(raw: Any, path: str, section: str) -> ContractEntry:
     if not isinstance(raw, dict):
         raise ValueError(f"contract {path!r}: non-object entry in {section!r}")
-    block = raw.get("exploitability")
-    if block is not None and not isinstance(block, dict):
-        raise ValueError(
-            f"contract {path!r}: 'exploitability' must be an object in {section!r}"
-        )
     entry = ContractEntry(
         rule=str(raw.get("rule", "")),
         path=str(raw.get("path", "")),
@@ -184,9 +170,6 @@ def _parse_entry(raw: Any, path: str, section: str) -> ContractEntry:
         reason=str(raw.get("reason", "")),
         verdict=str(raw.get("verdict", "")),
         leak_class_source=str(raw.get("leak_class_source", "heuristic")),
-        exploitability=(
-            Exploitability.from_jsonable(block) if block is not None else None
-        ),
     )
     if not entry.rule or not entry.path:
         raise ValueError(f"contract {path!r}: entry missing rule/path in {section!r}")
@@ -248,8 +231,6 @@ def render_contract(contract: Contract) -> str:
         }
         if entry.occurrence:
             out["occurrence"] = entry.occurrence
-        if entry.exploitability is not None:
-            out["exploitability"] = entry.exploitability.to_jsonable()
         return out
 
     def order(entry: ContractEntry) -> tuple[str, str, str, str, int]:
@@ -337,7 +318,6 @@ def build_contract(
     report: OracleReport | None = None,
     previous: Contract | None = None,
     coverage_prefixes: tuple[str, ...] = DEFAULT_COVERAGE,
-    project: "Project | None" = None,
 ) -> Contract:
     """Triaged contract for the current findings.
 
@@ -346,12 +326,6 @@ def build_contract(
     reviewed). With an oracle ``report``, REFUTED findings move to the
     ``refuted`` section; UNREACHED ones stay in ``entries`` with their
     failing verdict so ``verify`` flags them until triaged.
-
-    With a ``project``, every SF entry additionally gets a schema-v2
-    ``exploitability`` block from :func:`repro.sast.exploit.score_contract`
-    — oracle operand statistics come from ``report`` when present, else
-    from the entry carried over from ``previous``, so a static-only
-    rebuild re-scores without losing the recorded dynamics.
     """
     prev_entries: dict[Fingerprint, ContractEntry] = {}
     if previous is not None:
@@ -399,22 +373,11 @@ def build_contract(
             reason=prev.reason if prev else _default_reason(rel),
             verdict=verdict,
             leak_class_source=leak_source,
-            exploitability=prev.exploitability if prev else None,
         )
         if verdict == REFUTED:
             contract.refuted.append(entry)
         else:
             contract.entries.append(entry)
-    if project is not None:
-        blocks = score_contract(contract.entries, findings, project, report)
-        contract.entries = [
-            replace(e, exploitability=blocks.get(e.fingerprint, e.exploitability))
-            for e in contract.entries
-        ]
-        # refuted chains are not attack targets: no triage block
-        contract.refuted = [
-            replace(e, exploitability=None) for e in contract.refuted
-        ]
     return contract
 
 

@@ -73,25 +73,12 @@ class OracleError(RuntimeError):
 
 @dataclass(frozen=True)
 class SiteResult:
-    """Verdict for one watched source location.
-
-    Beyond the verdict, a site carries operand-value statistics gathered
-    during the same replay: how many distinct operand tuples the line
-    saw (a value-cardinality witness), the observed integer range of its
-    locals, and a between-key/within-key variance ratio that serves as a
-    dynamic SNR proxy for exploitability triage — a site whose operands
-    swing widely across keys but are stable within one key is easy to
-    template; a site drowned in per-key churn is not.
-    """
+    """Verdict for one watched source location."""
 
     site: str                    # "relative/path.py:line"
     status: str                  # CONFIRMED / UNREACHED / REFUTED / LIVE
     hits: int                    # total line executions across seeds
     seeds_hit: int               # seeds under which the site executed
-    distinct_values: int = 0     # max distinct operand tuples in any one seed
-    value_min: int | None = None  # smallest int local observed on the line
-    value_max: int | None = None  # largest int local observed on the line
-    snr_proxy: float = 0.0       # between-seed variance / within-seed variance
 
 
 @dataclass
@@ -273,37 +260,7 @@ def _classify(site: str, per_seed: Mapping[str, Any] | None, seeds: list[str]) -
         return SiteResult(site=site, status=UNREACHED, hits=0, seeds_hit=0)
     digests = {str(per_seed.get(seed, {}).get("digest", "")) for seed in seeds}
     status = REFUTED if len(digests) == 1 and seeds_hit == len(seeds) else CONFIRMED
-    distinct = max(int(rec.get("distinct", 0)) for rec in per_seed.values())
-    value_min: int | None = None
-    value_max: int | None = None
-    means: list[float] = []
-    within: list[float] = []
-    for rec in per_seed.values():
-        values = rec.get("values")
-        if not values or not values.get("count"):
-            continue
-        count = int(values["count"])
-        if value_min is None or int(values["min"]) < value_min:
-            value_min = int(values["min"])
-        if value_max is None or int(values["max"]) > value_max:
-            value_max = int(values["max"])
-        means.append(float(values["mean"]))
-        within.append(float(values["m2"]) / count)
-    snr = 0.0
-    if len(means) >= 2:
-        grand = sum(means) / len(means)
-        between = sum((m - grand) ** 2 for m in means) / len(means)
-        noise = sum(within) / len(within)
-        if noise > 0.0:
-            snr = between / noise
-        elif between > 0.0:
-            snr = float(10 ** 6)   # noiseless but key-dependent: clamp
-        snr = round(min(snr, float(10 ** 6)), 6)
-    return SiteResult(
-        site=site, status=status, hits=hits, seeds_hit=seeds_hit,
-        distinct_values=distinct, value_min=value_min, value_max=value_max,
-        snr_proxy=snr,
-    )
+    return SiteResult(site=site, status=status, hits=hits, seeds_hit=seeds_hit)
 
 
 # -- the traced workload (worker side) -------------------------------------
@@ -418,20 +375,12 @@ def _encode_value(value: Any, depth: int = 0) -> str:
     return text[:160]
 
 
-#: distinct operand tuples tracked per site before the counter saturates
-#: (a lower bound past this point; keeps worker memory bounded)
-_DISTINCT_CAP = 4096
-
-
 class _Recorder:
-    """Per-site hit counts, value-stream digests, and operand statistics.
+    """Per-site hit counts and value-stream digests, one set per seed.
 
-    The rolling digest byte-stream is unchanged from the verdict-only
-    recorder so recorded CONFIRMED/REFUTED classifications stay stable;
-    the per-hit buffer it consumes is additionally hashed into a
-    distinct-tuple set (value cardinality) and every integer local on
-    the line feeds a Welford mean/variance accumulator plus a running
-    min/max (operand range) — the raw material of the dynamic SNR proxy.
+    Each hit appends a record separator and the encoded locals named on
+    the line to the site's rolling sha256; equal digests across seeds
+    mean an identical operand stream.
     """
 
     def __init__(self, watch: Mapping[str, Mapping[int, str]]) -> None:
@@ -442,9 +391,6 @@ class _Recorder:
         self._seed = ""
         self._hashes: dict[str, "hashlib._Hash"] = {}
         self._hits: dict[str, int] = {}
-        self._tuples: dict[str, set[bytes]] = {}
-        # site -> [count, mean, m2, min, max] over int locals on the line
-        self._stats: dict[str, list[Any]] = {}
         for path in self.watch:
             self.names[path] = _names_by_line(path, set(self.watch[path]))
 
@@ -453,28 +399,15 @@ class _Recorder:
         self._seed = seed
         self._hashes = {}
         self._hits = {}
-        self._tuples = {}
-        self._stats = {}
 
     def _flush(self) -> None:
         if not self._seed:
             return
         for site, count in self._hits.items():
-            rec: dict[str, Any] = {
+            self.results.setdefault(site, {})[self._seed] = {
                 "hits": count,
                 "digest": self._hashes[site].hexdigest(),
-                "distinct": len(self._tuples.get(site, ())),
             }
-            stats = self._stats.get(site)
-            if stats is not None and stats[0]:
-                rec["values"] = {
-                    "count": stats[0],
-                    "mean": stats[1],
-                    "m2": stats[2],
-                    "min": stats[3],
-                    "max": stats[4],
-                }
-            self.results.setdefault(site, {})[self._seed] = rec
         self._seed = ""
 
     def finish(self) -> dict[str, Any]:
@@ -492,35 +425,15 @@ class _Recorder:
         if digest is None:
             digest = self._hashes[site] = hashlib.sha256()
             self._hits[site] = 0
-            self._tuples[site] = set()
-            self._stats[site] = [0, 0.0, 0.0, None, None]
         self._hits[site] += 1
         digest.update(b"\x1e")
         local_vars = frame.f_locals
         buffer = bytearray()
-        stats = self._stats[site]
         for name in self.names.get(filename, {}).get(lineno, ()):
             if name in local_vars:
-                value = local_vars[name]
-                buffer += _encode_value(value).encode("utf-8", "replace")
+                buffer += _encode_value(local_vars[name]).encode("utf-8", "replace")
                 buffer += b"\x1f"
-                if isinstance(value, int) and not isinstance(value, bool):
-                    try:
-                        as_float = float(value)
-                    except OverflowError:
-                        continue       # keygen bigints beyond double range
-                    stats[0] += 1
-                    delta = as_float - stats[1]
-                    stats[1] += delta / stats[0]
-                    stats[2] += delta * (as_float - stats[1])
-                    if stats[3] is None or value < stats[3]:
-                        stats[3] = value
-                    if stats[4] is None or value > stats[4]:
-                        stats[4] = value
         digest.update(buffer)
-        tuples = self._tuples[site]
-        if len(tuples) < _DISTINCT_CAP:
-            tuples.add(hashlib.sha256(bytes(buffer)).digest()[:16])
 
 
 def _names_by_line(path: str, lines: set[int]) -> dict[int, tuple[str, ...]]:

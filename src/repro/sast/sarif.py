@@ -94,20 +94,10 @@ def render_sarif(
 
     ``suppressed`` pairs each contract-accepted finding with its reviewed
     justification; those results carry a ``suppressions`` entry so SARIF
-    consumers show them as triaged instead of outstanding. When the
-    contract carries exploitability blocks (schema v2), each matching
-    result additionally gets the GitHub code-scanning
-    ``properties.security-severity`` decimal (the triage score, 0-10)
-    so scanning UIs sort findings by attackability.
+    consumers show them as triaged instead of outstanding. A
+    ``contract`` adds its entry counts and coverage to the run's
+    properties.
     """
-    severity: dict[tuple, float] = {}
-    if contract is not None:
-        from repro.sast.contract import fingerprint
-
-        for entry in contract.entries:
-            if entry.exploitability is not None:
-                severity[entry.fingerprint] = entry.exploitability.score
-
     rule_ids = sorted(RULES)
     rule_index = {rule: i for i, rule in enumerate(rule_ids)}
 
@@ -125,12 +115,6 @@ def render_sarif(
         }
         if finding.function:
             result["properties"] = {"function": finding.function}
-        if severity:
-            score = severity.get(fingerprint(finding, root))
-            if score is not None:
-                result.setdefault("properties", {})[
-                    "security-severity"
-                ] = f"{score:.2f}"
         if finding.taint_chain:
             result["codeFlows"] = [_code_flow(finding, root)]
         if justification is not None:

@@ -40,12 +40,6 @@ Two surfaces are registered:
     iteration count are the architectural intermediates, and the
     recovered secrets are ffSampling's per-call Gaussian draws.
 
-Beyond the registry, any ``contract:<id>`` name resolves to the generic
-traced surface (:mod:`repro.targets.traced`): the leakage-contract
-entry with that exploitability ``entry_id`` (see ``repro-sast rank``)
-is compiled into a TargetPoint by instrumenting its source line, so
-every ranked entry is attackable without writing surface code.
-
 Select a surface by name everywhere a campaign is configured:
 ``CaptureCampaign(target=...)``, ``full_attack(target=...)``,
 ``repro-falcon capture/attack --target``. Store manifests record the
@@ -148,17 +142,7 @@ TARGET_NAMES: tuple[str, ...] = tuple(sorted(TARGETS))
 
 
 def get_target(name: "str | TargetPoint") -> TargetPoint:
-    """Resolve a surface by name (a surface instance passes through).
-
-    ``contract:<id>`` names dispatch to the generic traced surface
-    (:mod:`repro.targets.traced`), which compiles the leakage-contract
-    entry with that :func:`repro.sast.exploit.entry_id` into a
-    TargetPoint — any ranked entry is attackable without surface code.
-    """
+    """Resolve a surface by name (a surface instance passes through)."""
     if isinstance(name, str):
-        if name.startswith("contract:"):
-            from repro.targets.traced import get_traced_target
-
-            return get_traced_target(name)
         return resolve_name("target", name, TARGETS)
     return name

@@ -145,33 +145,30 @@ def _edit(path: str, old: str, new: str) -> None:
         fh.write(src.replace(old, new, 1))
 
 
-def test_variant_static_verify_is_clean():
+def test_variant_static_verify_is_clean(repo_sast_cache):
     root = os.path.join(_REPO_ROOT, "src", "repro")
-    assert (
-        main(["verify", root, "--contract", _CONTRACT, "--variant", "masked-mul"])
-        == EXIT_CLEAN
-    )
-    assert (
-        main(["verify", root, "--contract", _CONTRACT, "--variant", "ct-mul"])
-        == EXIT_CLEAN
-    )
+    args = ["verify", root, "--contract", _CONTRACT, "--cache", repo_sast_cache]
+    assert main([*args, "--variant", "masked-mul"]) == EXIT_CLEAN
+    assert main([*args, "--variant", "ct-mul"]) == EXIT_CLEAN
 
 
-def test_unknown_variant_is_an_error(capsys):
+def test_unknown_variant_is_an_error(repo_sast_cache, capsys):
     root = os.path.join(_REPO_ROOT, "src", "repro")
     assert (
-        main(["verify", root, "--contract", _CONTRACT, "--variant", "nope"])
+        main(["verify", root, "--contract", _CONTRACT, "--variant", "nope",
+              "--cache", repo_sast_cache])
         == EXIT_ERROR
     )
     assert "contract defines" in capsys.readouterr().err
 
 
-def test_variant_write_contract_rejected(capsys):
+def test_variant_write_contract_rejected(repo_sast_cache, capsys):
     root = os.path.join(_REPO_ROOT, "src", "repro")
     assert (
         main([
             "verify", root, "--contract", _CONTRACT,
             "--variant", "masked-mul", "--write-contract",
+            "--cache", repo_sast_cache,
         ])
         == EXIT_ERROR
     )

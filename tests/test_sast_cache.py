@@ -9,17 +9,14 @@ from __future__ import annotations
 
 import json
 import os
+from dataclasses import replace
 
 from tests.sast_util import write_package
 
-from repro.sast.cache import (
-    analyzer_digest,
-    contract_digest,
-    file_digests,
-    run_with_cache,
-)
+from repro.sast.cache import analyzer_digest, file_digests, run_with_cache
 from repro.sast.cli import collect_findings, main
-from repro.sast.findings import EXIT_FINDINGS
+from repro.sast.contract import build_contract, render_contract
+from repro.sast.findings import EXIT_CLEAN, EXIT_FINDINGS
 from repro.sast.project import load_project
 
 _LEAKY_A = """\
@@ -112,31 +109,26 @@ def test_analyzer_change_invalidates(tmp_path):
     assert not stats.fast_path and stats.reanalyzed == ["pkg.a"]
 
 
-def test_contract_digest_tracks_file(tmp_path):
-    path = tmp_path / "contract.json"
-    assert contract_digest(str(path)) == ""          # missing file
-    assert contract_digest(None) == ""
-    path.write_text("{\"entries\": []}")
-    first = contract_digest(str(path))
-    assert len(first) == 64
-    path.write_text("{\"entries\": [1]}")
-    assert contract_digest(str(path)) != first
-
-
-def test_contract_change_invalidates_cache(tmp_path):
-    """The cache is keyed on the contract digest as well as the source:
-    regenerating the contract must re-run the analysis even when no
-    module changed (the severity annotations depend on it)."""
+def test_contract_change_keeps_cache_hot(tmp_path, capsys):
+    """Findings depend on the source and the analyzer only: rewriting the
+    contract between two cached runs must not re-run the analysis."""
     project = _project(tmp_path, {"a.py": _LEAKY_A})
     cache = str(tmp_path / "cache.json")
-    _, cold = run_with_cache(project, cache, contract_digest="a" * 64)
-    assert not cold.fast_path
-    _, hot = run_with_cache(project, cache, contract_digest="a" * 64)
-    assert hot.fast_path
-    _, stale = run_with_cache(project, cache, contract_digest="b" * 64)
-    assert not stale.fast_path and stale.reanalyzed == ["pkg.a"]
-    _, rewarmed = run_with_cache(project, cache, contract_digest="b" * 64)
-    assert rewarmed.fast_path
+    contract = build_contract(collect_findings(project), project.root)
+    path = tmp_path / "contract.json"
+    path.write_text(render_contract(contract))
+    assert main(["verify", project.root, "--contract", str(path),
+                 "--cache", cache]) == EXIT_CLEAN
+    assert "cache cold" in capsys.readouterr().err
+
+    contract.entries = [replace(e, reason="re-reviewed") for e in contract.entries]
+    path.write_text(render_contract(contract))
+    assert main(["verify", project.root, "--contract", str(path),
+                 "--cache", cache]) == EXIT_CLEAN
+    assert "cache hot" in capsys.readouterr().err
+    findings, stats = run_with_cache(project, cache)
+    assert stats.fast_path
+    assert findings == collect_findings(project)
 
 
 def test_file_digests_track_content(tmp_path):

@@ -7,7 +7,8 @@ import os
 
 from tests.sast_util import line_of, write_package
 
-from repro.sast.cli import collect_findings, main
+from repro.sast.cache import run_with_cache
+from repro.sast.cli import main
 from repro.sast.findings import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, RULES
 from repro.sast.project import load_project
 
@@ -91,20 +92,21 @@ def test_list_rules(capsys):
         assert rule in out
 
 
-def test_repo_gate_is_green():
+def test_repo_gate_is_green(repo_sast_cache):
     """src/repro + the committed leakage contract must be clean (what
     `make sast` and the CI job enforce, recorded verdicts)."""
     root = os.path.join(_REPO_ROOT, "src", "repro")
     contract = os.path.join(_REPO_ROOT, "leakage-contract.json")
-    assert main(["verify", root, "--contract", contract]) == EXIT_CLEAN
+    assert main(["verify", root, "--contract", contract,
+                 "--cache", repo_sast_cache]) == EXIT_CLEAN
 
 
-def test_repo_contract_documents_only_the_attack_surface():
+def test_repo_contract_documents_only_the_attack_surface(repo_sast_cache):
     """Accepted findings live exclusively in the faithfully-leaky layers
     (falcon/, fpr/, math/) plus the masked variant's recorded clear
     boundary — everything else must stay finding-free."""
     root = os.path.join(_REPO_ROOT, "src", "repro")
-    findings = collect_findings(load_project(root, package="repro"))
+    findings, _ = run_with_cache(load_project(root, package="repro"), repo_sast_cache)
     prefixes = {os.path.relpath(f.path, root).split(os.sep)[0] for f in findings}
     assert prefixes <= {"falcon", "fpr", "math", "countermeasures"}
     # the only countermeasures finding is the masked multiplier's zero
@@ -136,91 +138,3 @@ def test_repo_contract_entries_are_fully_triaged():
     # the keygen NTRU sanity check is the known honest refutation
     assert any(e.path == "falcon/keygen.py" for e in contract.refuted)
 
-
-# -- rank mode ---------------------------------------------------------------
-
-_BOUNDED_LEAK = """\
-def butterfly(sk):
-    u = sk.f[0] % 12289
-    if u > 0:
-        return 1
-    return 0
-"""
-
-
-def _ranked_fixture(tmp_path):
-    from repro.sast.contract import build_contract, render_contract
-
-    root = _pkg(tmp_path, {"leak.py": _BOUNDED_LEAK})
-    project = load_project(root, package="pkg")
-    contract = build_contract(
-        collect_findings(project), project.root, project=project
-    )
-    path = os.path.join(str(tmp_path), "contract.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_contract(contract))
-    return root, path
-
-
-def test_rank_json_is_deterministic_and_total(tmp_path, capsys):
-    root, contract = _ranked_fixture(tmp_path)
-    assert main(["rank", root, "--contract", contract,
-                 "--format", "json"]) == EXIT_CLEAN
-    first = capsys.readouterr().out
-    assert main(["rank", root, "--contract", contract,
-                 "--format", "json"]) == EXIT_CLEAN
-    assert capsys.readouterr().out == first
-    payload = json.loads(first)
-    ranked = payload["ranked"]
-    assert [e["rank"] for e in ranked] == [1, 2]
-    scores = [e["exploitability"]["score"] for e in ranked]
-    assert scores == sorted(scores, reverse=True)
-    # rank 1 is the statically-bounded branch operand
-    assert ranked[0]["line_text"] == "if u > 0:"
-    assert ranked[0]["exploitability"]["hypothesis_computable"] is True
-    assert len(ranked[0]["exploitability"]["entry_id"]) == 12
-
-
-def test_rank_text_top_limits_and_summarizes(tmp_path, capsys):
-    root, contract = _ranked_fixture(tmp_path)
-    assert main(["rank", root, "--contract", contract, "--top", "1"]) == EXIT_CLEAN
-    out = capsys.readouterr()
-    assert "'if u > 0:'" in out.out
-    assert "'u = sk.f[0] % 12289'" not in out.out
-    assert "ranked 2 CONFIRMED entries (showing 1)" in out.err
-
-
-def test_rank_explain_reports_heuristic_classes(tmp_path, capsys):
-    root, contract = _ranked_fixture(tmp_path)
-    assert main(["rank", root, "--contract", contract, "--explain"]) == EXIT_CLEAN
-    out = capsys.readouterr().out
-    assert "heuristic-sourced leak classes" in out
-    assert "recorded=ancillary keyword=ancillary" in out
-
-
-def test_rank_missing_contract_errors(tmp_path, capsys):
-    root = _pkg(tmp_path, {"leak.py": _BOUNDED_LEAK})
-    missing = os.path.join(str(tmp_path), "nope.json")
-    assert main(["rank", root, "--contract", missing]) == EXIT_ERROR
-    assert "contract not found" in capsys.readouterr().err
-
-
-def test_rank_repo_contract_round_trip(capsys):
-    """`repro-sast rank` over the committed tree: every CONFIRMED entry
-    ranked, scores re-derived (not read back verbatim), output stable."""
-    root = os.path.join(_REPO_ROOT, "src", "repro")
-    contract = os.path.join(_REPO_ROOT, "leakage-contract.json")
-    assert main(["rank", root, "--contract", contract, "--format", "json",
-                 "--package", "repro"]) == EXIT_CLEAN
-    payload = json.loads(capsys.readouterr().out)
-    from repro.sast.contract import load_contract
-
-    shipped = load_contract(contract)
-    confirmed = [e for e in shipped.entries if e.verdict == "CONFIRMED"]
-    assert len(payload["ranked"]) == len(confirmed)
-    # the re-derived scores agree with the committed blocks
-    by_id = {e.exploitability.entry_id: e.exploitability.score
-             for e in shipped.entries if e.exploitability is not None}
-    for row in payload["ranked"]:
-        x = row["exploitability"]
-        assert by_id[x["entry_id"]] == x["score"]

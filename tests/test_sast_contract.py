@@ -69,6 +69,19 @@ def test_contract_round_trip(tmp_path):
     assert loaded.coverage_prefixes == contract.coverage_prefixes
     assert loaded.oracle_meta == contract.oracle_meta
 
+    # older files carry per-entry "exploitability" blocks: they still
+    # load, and re-rendering drops the blocks and nothing else
+    doc = json.loads(render_contract(contract))
+    for raw in doc["entries"]:
+        raw["exploitability"] = {"entry_id": "14d8f9c87b91", "score": 6.18}
+    legacy = tmp_path / "legacy.json"
+    legacy.write_text(json.dumps(doc))
+    reloaded = load_contract(str(legacy))
+    assert reloaded.entry_map() == contract.entry_map()
+    assert reloaded.refuted_map() == contract.refuted_map()
+    assert render_contract(reloaded) == render_contract(contract)
+    assert "exploitability" not in render_contract(reloaded)
+
 
 @pytest.mark.parametrize(
     "mutate, fragment",
@@ -215,10 +228,11 @@ def _copy_repro(tmp_path) -> str:
     return dst
 
 
-def test_committed_contract_matches_current_findings():
+def test_committed_contract_matches_current_findings(repo_sast_cache):
     """Static gate on the real tree: recorded verdicts, no violations."""
     root = os.path.join(_REPO_ROOT, "src", "repro")
-    assert main(["verify", root, "--contract", _CONTRACT]) == EXIT_CLEAN
+    assert main(["verify", root, "--contract", _CONTRACT,
+                 "--cache", repo_sast_cache]) == EXIT_CLEAN
 
 
 def test_planted_secret_branch_is_confirmed_and_fails_verify(tmp_path, capsys):

@@ -281,7 +281,7 @@ def test_constant_time_pragma_strictness(tmp_path):
 # -- CT006: leak-class drift in the committed contract ---------------------
 
 
-def test_planted_wrong_leak_class_fails_verify(tmp_path, capsys):
+def test_planted_wrong_leak_class_fails_verify(tmp_path, repo_sast_cache, capsys):
     """Flipping a dataflow-classed contract entry to a different class
     must fail the static gate with CT006."""
     with open(_CONTRACT, encoding="utf-8") as fh:
@@ -300,7 +300,8 @@ def test_planted_wrong_leak_class_fails_verify(tmp_path, capsys):
         json.dump(doc, fh)
 
     root = os.path.join(_REPO_ROOT, "src", "repro")
-    assert main(["verify", root, "--contract", contract_path]) == EXIT_FINDINGS
+    assert main(["verify", root, "--contract", contract_path,
+                 "--cache", repo_sast_cache]) == EXIT_FINDINGS
     out = capsys.readouterr()
     assert "CT006" in out.out
     assert flipped["line_text"] in out.out

@@ -14,7 +14,7 @@ import os
 from tests.sast_util import write_package
 
 from repro.sast.cli import collect_findings, main
-from repro.sast.contract import build_contract, render_contract
+from repro.sast.contract import build_contract, load_contract, render_contract
 from repro.sast.findings import EXIT_CLEAN, EXIT_FINDINGS, RULES
 from repro.sast.project import load_project
 
@@ -72,12 +72,6 @@ def validate_sarif(doc: dict) -> None:
             for sup in result.get("suppressions", []):
                 assert sup["kind"] in _SUPPRESSION_KINDS
                 assert sup.get("justification", "x")
-            props = result.get("properties", {})
-            if "security-severity" in props:
-                # GitHub code scanning: a string decimal in [0, 10]
-                sev = props["security-severity"]
-                assert isinstance(sev, str)
-                assert 0.0 <= float(sev) <= 10.0
 
 
 def _pkg(tmp_path, files, name="pkg"):
@@ -126,13 +120,13 @@ def test_sarif_contract_suppressions(tmp_path, capsys):
     assert all(r["suppressions"][0]["kind"] == "external" for r in results)
 
 
-def test_verify_sarif_on_real_tree_suppresses_contract_entries(capsys):
+def test_verify_sarif_on_real_tree_suppresses_contract_entries(repo_sast_cache, capsys):
     """`verify --format sarif` on the committed tree: zero outstanding
     results, every contract-accepted finding present as suppressed."""
     root = os.path.join(_REPO_ROOT, "src", "repro")
     contract = os.path.join(_REPO_ROOT, "leakage-contract.json")
-    assert main(["verify", root, "--contract", contract,
-                 "--format", "sarif"]) == EXIT_CLEAN
+    assert main(["verify", root, "--contract", contract, "--format", "sarif",
+                 "--cache", repo_sast_cache]) == EXIT_CLEAN
     doc = json.loads(capsys.readouterr().out)
     validate_sarif(doc)
     run = doc["runs"][0]
@@ -142,37 +136,17 @@ def test_verify_sarif_on_real_tree_suppresses_contract_entries(capsys):
     meta = run["properties"]["leakageContract"]
     assert len(suppressed) == meta["entries"] + meta["refuted"]
     assert meta["coverage_prefixes"] == ["falcon/", "fpr/", "math/"]
-    # every contract entry (and only those — refuted chains score
-    # nothing) carries the triage score as its security severity
-    scored = [r for r in run["results"]
-              if "security-severity" in r.get("properties", {})]
-    assert len(scored) == meta["entries"]
-
-
-def test_sarif_security_severity_from_contract(tmp_path, capsys):
-    """A schema-v2 contract's exploitability scores become the GitHub
-    ``security-severity`` property, formatted as a 2-decimal string."""
-    from repro.sast.cli import collect_findings
-    from repro.sast.contract import build_contract, render_contract
-    from repro.sast.project import load_project
-
-    root = _pkg(tmp_path, {
-        "leak.py": "def f(sk):\n    u = sk.f[0] % 12289\n    if u > 0:\n"
-                   "        return 1\n    return 0\n",
-    })
-    project = load_project(root, package="pkg")
-    contract = build_contract(
-        collect_findings(project), project.root, project=project
+    # each suppression is one contract entry's reviewed reason, and the
+    # results carry the rule's level, no severity score
+    shipped = load_contract(contract)
+    justifications = sorted(
+        r["suppressions"][0]["justification"] for r in suppressed
     )
-    path = tmp_path / "contract.json"
-    path.write_text(render_contract(contract))
-    assert main(["verify", root, "--contract", str(path),
-                 "--format", "sarif"]) == EXIT_CLEAN
-    doc = json.loads(capsys.readouterr().out)
-    validate_sarif(doc)
-    results = doc["runs"][0]["results"]
-    severities = {r["ruleId"]: r["properties"]["security-severity"]
-                  for r in results}
-    # the bounded branch operand scores 6.1773 -> "6.18"; the unbounded
-    # assignment keeps the ancillary base score
-    assert severities == {"SF001": "6.18", "SF003": "2.20"}
+    assert justifications == sorted(
+        e.reason for e in shipped.entries + shipped.refuted
+    )
+    assert all(r["suppressions"][0]["kind"] == "external" for r in suppressed)
+    for r in run["results"]:
+        assert "security-severity" not in r.get("properties", {})
+        assert r["level"] == ("error" if r["ruleId"].startswith(("CT", "AN", "BL"))
+                              else "warning")

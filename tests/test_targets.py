@@ -60,11 +60,12 @@ class TestRegistry:
         name plus the sorted list of registered names."""
         from repro.attack.config import AttackConfig
 
-        with pytest.raises(ValueError) as exc:
-            get_target("oscilloscope")
-        msg = str(exc.value)
-        assert msg.startswith("unknown target 'oscilloscope'")
-        assert "'fpr-mul', 'samplerz'" in msg
+        for name in ("oscilloscope", "contract:14d8f9c87b91"):
+            with pytest.raises(ValueError) as exc:
+                get_target(name)
+            msg = str(exc.value)
+            assert msg.startswith(f"unknown target {name!r}")
+            assert "'fpr-mul', 'samplerz'" in msg
 
         with pytest.raises(ValueError, match="unknown distinguisher"):
             AttackConfig(distinguisher="deep-learning")
