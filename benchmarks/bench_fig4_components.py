@@ -8,7 +8,7 @@ crossing the 99.99% confidence interval and wrong guesses dying out.
 import numpy as np
 
 from repro.analysis import format_ranking
-from repro.attack.sign_exp import EXPONENT_GUESSES, recover_exponent, recover_sign
+from repro.attack.sign_exp import recover_exponent, recover_sign
 
 
 def test_fig4a_sign_bit(traceset, true_parts, benchmark):
@@ -35,11 +35,7 @@ def test_fig4b_exponent(traceset, true_parts, benchmark):
     """Fig 4(b): exponent DEMA — correct guess significant; a handful of
     structured false guesses also cross the bound (the blue traces)."""
     rec = benchmark.pedantic(
-        lambda: recover_exponent(
-            traceset,
-            guess_range=EXPONENT_GUESSES,
-            significand=true_parts["sig"],
-        ),
+        lambda: recover_exponent(traceset, significand=true_parts["sig"]),
         rounds=1,
         iterations=1,
     )

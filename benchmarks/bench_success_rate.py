@@ -9,8 +9,6 @@ SR = 1.0 within the 10k budget, with the mantissa extend-and-prune the
 earliest and the sign bit the latest.
 """
 
-import numpy as np
-
 from repro.analysis import format_table
 from repro.analysis.success_rate import success_curve
 from repro.attack.extend_prune import recover_mantissa
@@ -27,13 +25,8 @@ def _sign_attack(ts):
 
 def _exponent_attack(ts):
     sig = (ts.true_secret & ((1 << 52) - 1)) | (1 << 52)
-    rec = recover_exponent(ts, guess_range=(963, 1084), significand=sig)
-    order = np.argsort(-rec.combined_scores, kind="stable")
-    # keep the magnitude-prior tie-break for rank 0
-    ranked = [rec.biased_exponent] + [
-        int(rec.guesses[i]) for i in order if int(rec.guesses[i]) != rec.biased_exponent
-    ]
-    return ranked, int((ts.true_secret >> 52) & 0x7FF)
+    rec = recover_exponent(ts, significand=sig)
+    return rec.top_candidates(len(rec.guesses)), int((ts.true_secret >> 52) & 0x7FF)
 
 
 def _mantissa_attack(ts):

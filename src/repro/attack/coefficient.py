@@ -15,7 +15,9 @@ import numpy as np
 from repro.attack.config import AttackConfig
 from repro.attack.distinguisher import distinguisher_from_config
 from repro.attack.extend_prune import MantissaRecovery, recover_mantissa
-from repro.attack.sign_exp import ExponentRecovery, SignRecovery, recover_exponent, recover_sign
+from repro.attack.sign_exp import (
+    EXPONENT_LIST, ExponentRecovery, SignRecovery, recover_exponent, recover_sign,
+)
 from repro.fpr import emu
 from repro.leakage.traceset import TraceSet
 from repro.obs.spans import span
@@ -62,11 +64,13 @@ class CoefficientRecovery:
         top2 = np.sort(np.asarray(scores, dtype=np.float64))[-2:]
         return float(top2[1] - top2[0])
 
-    def candidate_patterns(self, k_exponents: int = 8) -> list[int]:
-        """The key decoder's list: the recovered pattern, then the top-k
-        exponents x {significand s and its one-bit shift aliases that keep
-        the implicit 1: ``(s << 1 | b) mod 2^53``, ``(s >> 1) | 1 << 52``},
-        since shifted limbs give bit-identical product hypotheses."""
+    def candidate_patterns(self, k_exponents: int = EXPONENT_LIST) -> list[int]:
+        """The key decoder's list: the recovered pattern, then the first k
+        exponents of :meth:`ExponentRecovery.top_candidates` (in-band
+        guesses first, out-of-band aliases after them) x {significand s
+        and its one-bit shift aliases that keep the implicit 1:
+        ``(s << 1 | b) mod 2^53``, ``(s >> 1) | 1 << 52``}, since shifted
+        limbs give bit-identical product hypotheses."""
         s = self.mantissa.significand
         shifts = (s, (s << 1) % (1 << 53), (s << 1 | 1) % (1 << 53), s >> 1 | 1 << 52)
         return list(dict.fromkeys([self.pattern] + [

@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.attack.config import AttackConfig
 from repro.attack.coefficient import CoefficientRecovery, recover_coefficient
-from repro.attack.sign_exp import fft_f_exponent_scale
+from repro.attack.sign_exp import MAGNITUDE_BAND
 from repro.falcon.keygen import PublicKey, SecretKey, derive_secret_key
 from repro.falcon.ntru_solve import NtruSolveError, ntru_solve
 from repro.falcon.sign import Signature, sign
@@ -60,12 +60,10 @@ _G_PLAUSIBLE_BOUND = 1 << 10
 #: The furthest invFFT of the recovered doubles may sit from integers.
 _MAX_DRIFT = 0.4
 
-#: The key decoder's budget of states, the coordinates it swaps per state
-#: (largest residual projection first), and the exponent ranks per double
-#: in its candidate lists.
+#: The key decoder's budget of states and the coordinates it swaps per
+#: state (largest residual projection first).
 _DECODE_POPS = 2048
 _DECODE_COORDS = 64
-_DECODE_EXPONENTS = 12
 
 
 class KeyRecoveryError(RuntimeError):
@@ -238,7 +236,7 @@ def repair_exponents(  # sast: declassify(reason=attacker-side key decoder over 
         if len(by_cost):
             expanded.append((choice, costs[by_cost], coords[by_cost], picks[by_cost]))
             heapq.heappush(heap, (costs[by_cost[0]], len(expanded) - 1, 0))
-    suspects = _erasure_suspects(mat, np.array([v[0] for v in vals]), box, pk.params)
+    suspects = _erasure_suspects(mat, np.array([v[0] for v in vals]), box)
     raise KeyRecoveryError(
         f"no candidate choice passed the public key in {len(seen)} decoder states; "
         f"suspect coefficients, most likely first: {', '.join(map(str, suspects[:3]))}"
@@ -251,11 +249,11 @@ def _invfft_basis(n: int) -> np.ndarray:
     return np.ascontiguousarray(fft.ifft(doubles_to_fft(np.eye(n))).T)
 
 
-def _erasure_suspects(mat: np.ndarray, v: np.ndarray, box: int, params) -> list[int]:
+def _erasure_suspects(mat: np.ndarray, v: np.ndarray, box: int) -> list[int]:
     """Doubles ordered by how close to integral f gets when each alone is
-    freed to any value t in the magnitude band (t scanned so the column's
-    largest entry lands on an integer)."""
-    span = 2.0 ** (fft_f_exponent_scale(params) - 1023 + 6)
+    freed to any value t under the magnitude band's upper edge (t scanned
+    so the column's largest entry lands on an integer)."""
+    span = 2.0 ** (MAGNITUDE_BAND.stop - 1023)
     cost = []
     for j, col in enumerate(mat.T):
         rest, i = mat @ v - v[j] * col, int(np.argmax(np.abs(col)))
@@ -302,20 +300,6 @@ def recover_g_from_public(f: list[int], pk: PublicKey) -> list[int]:  # sast: de
             "h * f mod q is not small — the recovered f does not match this public key"
         )
     return g
-
-
-def _filter_by_magnitude(patterns: list[int], params) -> list[int]:
-    """Drop candidates whose magnitude is physically implausible.
-
-    An FFT(f) double has RMS sqrt(n/2) * sigma_fg (public). A sum of n
-    terms cannot exceed that by more than a couple of octaves (6
-    allowed), but cancellation can make it tiny (13 below, rarely more).
-    The band only shrinks the decoder's search, since the public key
-    verifies every accepted choice, so the recovered pattern (first) is
-    kept whatever its band.
-    """
-    center = fft_f_exponent_scale(params)
-    return patterns[:1] + [p for p in patterns[1:] if -13 <= ((p >> 52) & 0x7FF) - center <= 6]
 
 
 # -- parallel per-coefficient engine --------------------------------------
@@ -616,11 +600,7 @@ def rebuild_signing_key(
     try:
         with span("rebuild"):
             with span("repair"):
-                candidates = [
-                    _filter_by_magnitude(r.candidate_patterns(_DECODE_EXPONENTS), pk.params)
-                    for r in recs
-                ]
-                patterns, f, g = repair_exponents(candidates, pk)
+                patterns, f, g = repair_exponents([r.candidate_patterns() for r in recs], pk)
             moves = "; ".join(
                 f"coef {j}: {r.pattern:#018x} → {p:#018x}"
                 for j, (r, p) in enumerate(zip(recs, patterns)) if p != r.pattern

@@ -45,7 +45,9 @@ __all__ = ["AttackSession", "SessionError"]
 _FORMAT = "falcon-down-attack-session"
 #: 2: checkpointed exponent recoveries carry their tie-break centre.
 #: 3: the ladder scores a row prefix; its results carry ``n_rows``.
-_VERSION = 3
+#: 4: the exponent order puts in-band guesses first, so the recorded
+#: pattern can differ; exponent recoveries carry no centre.
+_VERSION = 4
 
 
 class SessionError(RuntimeError):

@@ -20,8 +20,6 @@
 
 from __future__ import annotations
 
-import math
-
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,17 +34,29 @@ __all__ = [
     "ExponentRecovery",
     "recover_sign",
     "recover_exponent",
-    "fft_f_exponent_scale",
     "EXPONENT_GUESSES",
+    "EXPONENT_LIST",
+    "MAGNITUDE_BAND",
+    "MAGNITUDE_CENTER",
 ]
 
-#: Biased-exponent guesses [lo, hi) an FFT(f) coefficient can take. f has
-#: small integer coefficients (|f_i| <= 127), so |FFT(f)_k| lies within a
-#: few dozen octaves of 1. Guesses far outside that band are aliases of
-#: in-band values (their HW-vs-E_y profiles differ only by a constant
-#: over the narrow observed exponent window) and are physically
-#: impossible.
+#: Biased-exponent guesses [lo, hi) the exponent CPA scans: 1023 +/- 60
+#: octaves, wide enough to hold every 16/32/64-octave alias of a
+#: plausible FFT(f) double, so the scores show the alias ties.
 EXPONENT_GUESSES = (963, 1084)
+
+#: Biased exponent of the RMS FFT(f) double: Re/Im parts of a slot have
+#: variance (n/2) sigma_fg^2 and sigma_fg = 1.17 sqrt(q/2n), so the n
+#: cancels and it is 1023 + log2(1.17 sqrt(q) / 2) = 1029.02 at every n.
+MAGNITUDE_CENTER = 1029
+
+#: The public magnitude band, -13 to +6 octaves around 1029.02. It orders
+#: exponent guesses and drops none, since cancellation can make a double
+#: tiny (n8-key seed 205's coefficient 4 is 14.02 octaves below).
+MAGNITUDE_BAND = range(1017, 1036)
+
+#: Exponent guesses per double in the key decoder's candidate lists.
+EXPONENT_LIST = 12
 
 #: Score gap that still counts as a tie: guesses 16/32/64 apart tie exactly
 #: (HW-vs-E_y profiles differ by a constant), up to float summation order.
@@ -62,10 +72,16 @@ def _tie_groups(total: np.ndarray) -> np.ndarray:
     return tie_group
 
 
-def _ranked(total: np.ndarray, guesses: np.ndarray, center: int) -> np.ndarray:
-    """Guess indices best first: by score, then (among near-ties) by
-    distance from the public magnitude centre, then the lower guess."""
-    return np.lexsort((np.abs(guesses.astype(np.int64) - center), _tie_groups(total)))
+def _ranked(total: np.ndarray, guesses: np.ndarray) -> np.ndarray:
+    """Guess indices in the attack's order. By score, near-ties broken by
+    distance from :data:`MAGNITUDE_CENTER` and then toward the lower
+    guess; among the :data:`EXPONENT_LIST` best, the in-band guesses
+    move to the front in that order, and every other guess follows by
+    score."""
+    by_score = np.lexsort((np.abs(guesses.astype(np.int64) - MAGNITUDE_CENTER), _tie_groups(total)))
+    head = by_score[:EXPONENT_LIST]
+    in_band = np.isin(guesses[head], MAGNITUDE_BAND)
+    return np.concatenate([head[in_band], head[~in_band], by_score[EXPONENT_LIST:]])
 
 
 @dataclass
@@ -90,8 +106,6 @@ class ExponentRecovery:
     results: list[CpaResult] = field(repr=False)
     combined_scores: np.ndarray = field(repr=False)
     guesses: np.ndarray = field(repr=False)
-    #: Biased exponent of the RMS FFT(f) double; breaks score near-ties.
-    center: int = field(repr=False)
 
     def __repr__(self) -> str:
         return (
@@ -101,12 +115,13 @@ class ExponentRecovery:
         )
 
     def top_candidates(self, k: int) -> list[int]:
-        """The k best exponent guesses in :func:`recover_exponent`'s order,
-        so the first is :attr:`biased_exponent`. Aliasing occasionally
-        demotes the truth below rank 1; the key decoder
-        (repro.attack.key_recovery.repair_exponents) searches these lists
-        and the public key verifies its answer."""
-        ranked = _ranked(self.combined_scores, self.guesses, self.center)
+        """The first k exponent guesses in the attack's order: among the
+        :data:`EXPONENT_LIST` best by score, those in :data:`MAGNITUDE_BAND`
+        first, then the rest by score. The first is :attr:`biased_exponent`.
+        Aliasing occasionally demotes the truth, even out of the band; the
+        key decoder (repro.attack.key_recovery.repair_exponents) searches
+        these lists and the public key verifies its answer."""
+        ranked = _ranked(self.combined_scores, self.guesses)
         return [int(self.guesses[i]) for i in ranked[:k]]
 
     @property
@@ -138,54 +153,26 @@ def recover_sign(traceset: TraceSet, distinguisher=None) -> SignRecovery:
 
 
 def recover_exponent(
-    traceset: TraceSet,
-    guess_range: tuple[int, int] = EXPONENT_GUESSES,
-    significand: int | None = None,
-    distinguisher=None,
+    traceset: TraceSet, significand: int | None = None, distinguisher=None
 ) -> ExponentRecovery:
-    """Recover the biased exponent E_x from the guesses in ``guess_range``.
+    """Recover the biased exponent E_x from the :data:`EXPONENT_GUESSES`.
 
     Always correlates the raw exponent sum (``exp_sum``) and the rebiased
     word (``exp_biased``). When the 53-bit ``significand`` recovered by
     the mantissa attack is supplied, additionally correlates the
     exactly-predicted output exponent (``exp_out``), which carries far
-    more guess-separating variation.
+    more guess-separating variation. The 16/32/64-octave aliases tie
+    exactly, so the public magnitude band picks among the best guesses
+    (:func:`_ranked`).
     """
-    guesses = np.arange(guess_range[0], guess_range[1], dtype=np.uint64)
+    guesses = np.arange(*EXPONENT_GUESSES, dtype=np.uint64)
     steps = [("exp_sum", hyp_exp_sum), ("exp_biased", hyp_exp_biased)]
     if significand is not None:
         steps.append(("exp_out", lambda y, g: hyp_exp_out(y, g, significand)))
     total, results = score_steps(traceset, steps, guesses, distinguisher)
-    # Exact ties break toward the physically expected coefficient scale:
-    # the plausible |FFT(f)| magnitude (and hence exponent) is public.
-    center = _expected_exponent_center(traceset)
     return ExponentRecovery(
-        biased_exponent=int(guesses[_ranked(total, guesses, center)[0]]),
+        biased_exponent=int(guesses[_ranked(total, guesses)[0]]),
         results=results,
         combined_scores=total,
         guesses=guesses,
-        center=center,
     )
-
-
-def fft_f_exponent_scale(params) -> float:
-    """1023 + log2 of the RMS magnitude of an FFT(f) double.
-
-    Re/Im parts of an FFT slot of f have variance n * sigma_fg^2 / 2;
-    both n and sigma_fg are public parameters.
-    """
-    return 1023 + math.log2(math.sqrt(params.n / 2.0) * params.sigma_fg)
-
-
-def _expected_exponent_center(traceset: TraceSet) -> int:
-    """Biased exponent of the RMS FFT(f) double for this parameter set."""
-    n = traceset.meta.get("n") if traceset.meta else None
-    if not n:
-        return 1023 + 5
-    from repro.falcon.params import FalconParams
-
-    try:
-        params = FalconParams.get(int(n))
-    except ValueError:
-        return 1023 + 5
-    return round(fft_f_exponent_scale(params))

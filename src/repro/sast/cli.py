@@ -88,6 +88,15 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _load_or_report(args) -> Project | None:
+    """The project at ``args.root``, or None after printing why it failed."""
+    try:
+        return load_project(args.root, package=args.package)
+    except (FileNotFoundError, NotADirectoryError, OSError) as exc:
+        print(f"repro-sast: error: {exc}", file=sys.stderr)
+        return None
+
+
 def _collect_maybe_cached(project: Project, cache_path: str | None) -> list[Finding]:
     """All findings, through the incremental cache when one is configured."""
     if cache_path is None:
@@ -174,20 +183,14 @@ def _run_verify(argv: list[str]) -> int:
     except SystemExit as exc:
         return EXIT_ERROR if exc.code not in (0, None) else EXIT_CLEAN
 
-    try:
-        project = load_project(args.root, package=args.package)
-    except (FileNotFoundError, NotADirectoryError, OSError) as exc:
-        print(f"repro-sast: error: {exc}", file=sys.stderr)
+    if args.variant is not None:
+        return _run_variant(args)
+
+    project = _load_or_report(args)
+    if project is None:
         return EXIT_ERROR
 
     findings = _collect_maybe_cached(project, args.cache)
-
-    if args.variant is not None:
-        if args.write_contract:
-            print("repro-sast: error: --variant cannot be combined with "
-                  "--write-contract", file=sys.stderr)
-            return EXIT_ERROR
-        return _run_variant(args, project, findings)
 
     report = None
     if args.oracle or args.write_contract:
@@ -279,18 +282,24 @@ def _finish_verify(args, project, contract, findings, violations, mode) -> int:
     return EXIT_CLEAN
 
 
-def _run_variant(args, project, findings) -> int:
+def _run_variant(args) -> int:
     """``verify --variant NAME``: one countermeasure's claims, end to end.
 
     Static CT007 checks already run inside every ``verify_contract``
     call; this mode additionally replays the variant's own workload
     under the oracle (``--oracle``) with *every* line of the variant
     module watched, enforcing the contract's recorded dynamic claims.
+    Usage errors (``--write-contract``, an unknown variant) are rejected
+    before the tree is loaded.
     """
     from repro.sast.contract import load_contract, verify_contract
     from repro.sast.oracle import OracleError, run_oracle
     from repro.sast.variants import check_variant_dynamic, variant_module_sites
 
+    if args.write_contract:
+        print("repro-sast: error: --variant cannot be combined with "
+              "--write-contract", file=sys.stderr)
+        return EXIT_ERROR
     try:
         contract = load_contract(args.contract)
     except (FileNotFoundError, ValueError, OSError) as exc:
@@ -306,6 +315,10 @@ def _run_variant(args, project, findings) -> int:
         )
         return EXIT_ERROR
 
+    project = _load_or_report(args)
+    if project is None:
+        return EXIT_ERROR
+    findings = _collect_maybe_cached(project, args.cache)
     violations = verify_contract(
         findings, contract, project.root, contract_path=args.contract,
     )
@@ -367,10 +380,8 @@ def _run(argv: list[str] | None = None) -> int:
             print(f"{rule}  {RULES[rule]}")
         return EXIT_CLEAN
 
-    try:
-        project = load_project(args.root, package=args.package)
-    except (FileNotFoundError, NotADirectoryError, OSError) as exc:
-        print(f"repro-sast: error: {exc}", file=sys.stderr)
+    project = _load_or_report(args)
+    if project is None:
         return EXIT_ERROR
 
     findings = _collect_maybe_cached(project, args.cache)

@@ -22,7 +22,7 @@ from repro.attack.extend_prune import (
 )
 from repro.attack import ladder as ladder_mod
 from repro.attack.ladder import LOW_LIMB_STEPS, ROWS, ladder_limb
-from repro.attack.sign_exp import ExponentRecovery, recover_exponent, recover_sign
+from repro.attack.sign_exp import ExponentRecovery, _ranked, recover_exponent, recover_sign
 from repro.falcon import FalconParams, keygen
 from repro.fpr.trace import LOW_BITS
 from repro.leakage import CaptureCampaign, DeviceModel
@@ -220,19 +220,21 @@ class TestSignExponent:
     def test_exponent_recovered_or_top8(self, ts0):
         parts = true_parts(ts0)
         sig = parts["sig"]
-        rec = recover_exponent(ts0, significand=sig, guess_range=(963, 1084))
+        rec = recover_exponent(ts0, significand=sig)
         assert parts["exp"] in rec.top_candidates(8)
 
     def test_top_candidates_share_the_tie_break(self):
         """Near-tied scores rank by distance from the public centre, the
-        rule that picks ``biased_exponent``, so the list leads with it."""
+        rule that picks ``biased_exponent``, and the in-band guesses of
+        the best twelve lead, so the list starts with it."""
         guesses = np.arange(963, 1084, dtype=np.uint64)
-        scores = np.zeros(len(guesses))
+        scores = np.full(len(guesses), -1.0)
         scores[[964 - 963, 1028 - 963]] = 1.0      # an exact 64-offset tie
         scores[1000 - 963] = 1.0 - 1e-12           # tied up to float order
         scores[1030 - 963] = 0.5
-        rec = ExponentRecovery(1028, [], scores, guesses, center=1028)
-        assert rec.top_candidates(4) == [1028, 1000, 964, 1030]
+        rec = ExponentRecovery(1028, [], scores, guesses)
+        assert rec.top_candidates(4) == [1028, 1030, 1029, 1027]
+        assert rec.top_candidates(12)[-2:] == [1000, 964]
 
     def test_margin_skips_the_winners_tie_group(self):
         """Guesses tied with the winner (exactly, or up to float order) are
@@ -242,19 +244,28 @@ class TestSignExponent:
         scores[[1012 - 963, 1028 - 963, 1044 - 963]] = 1.0   # 16-octave aliases
         scores[1060 - 963] = 1.0 - 1e-12
         scores[1030 - 963] = 0.75
-        rec = ExponentRecovery(1028, [], scores, guesses, center=1028)
+        rec = ExponentRecovery(1028, [], scores, guesses)
         assert rec.margin == pytest.approx(0.25, abs=1e-15)
         scores[1030 - 963] = 1.0 - 1e-6                      # past the tie tolerance
         assert rec.margin == pytest.approx(1e-6, rel=1e-6)
-        assert ExponentRecovery(1028, [], np.ones(3), guesses[:3], center=1028).margin == np.inf
+        assert ExponentRecovery(1028, [], np.ones(3), guesses[:3]).margin == np.inf
 
-    def test_exponent_ignores_impossible_range(self, ts0):
-        rec = recover_exponent(ts0, guess_range=(1000, 1050))
-        assert 1000 <= rec.biased_exponent < 1050
+    def test_ranked_puts_in_band_guesses_first(self):
+        """Among the twelve best guesses the in-band ones lead, in score
+        order; the out-of-band ones follow them, and every other guess
+        follows by score, so no guess is dropped."""
+        guesses = np.arange(963, 1084, dtype=np.uint64)
+        scores = np.zeros(len(guesses))
+        for g, score in ((1045, 1.0), (1013, 0.9), (1029, 0.8), (997, 0.7), (1020, 0.6), (1061, 0.5)):
+            scores[g - 963] = score
+        order = [int(guesses[i]) for i in _ranked(scores, guesses)]
+        assert order[:12] == [1029, 1020, 1028, 1030, 1027, 1031, 1026, 1032, 1045, 1013, 997, 1061]
+        assert order[12:14] == [1025, 1033]
+        assert sorted(order) == list(range(963, 1084))
 
     def test_exponent_repr_is_a_summary(self, ts0):
         sig = true_parts(ts0)["sig"]
-        rec = recover_exponent(ts0, significand=sig, guess_range=(963, 1084))
+        rec = recover_exponent(ts0, significand=sig)
         text = repr(rec)
         assert len(text) < 160
         assert f"biased_exponent={rec.biased_exponent}" in text

@@ -7,14 +7,13 @@ from repro.attack.coefficient import CoefficientRecovery
 from repro.attack.extend_prune import MantissaRecovery
 from repro.attack.key_recovery import (
     KeyRecoveryError,
-    _filter_by_magnitude,
     _invfft_basis,
     rebuild_signing_key,
     recover_f,
     recover_g_from_public,
     repair_exponents,
 )
-from repro.attack.sign_exp import ExponentRecovery, SignRecovery, fft_f_exponent_scale
+from repro.attack.sign_exp import EXPONENT_GUESSES, MAGNITUDE_BAND, ExponentRecovery, SignRecovery
 from repro.falcon import FalconParams, keygen, verify
 from repro.fpr.emu import compose
 from repro.fpr.trace import LOW_BITS
@@ -67,14 +66,14 @@ _MANT = (1 << 52) - 1
 def planted_recoveries(sk, errors):
     """Per-coefficient recoveries with planted misses, as the attack reports them.
 
-    ``errors[j] = (d, shifted)`` recovers double j with its exponent off
-    by ``d`` and, if ``shifted``, its significand as the
-    ``(true >> 1) | 1 << 52`` alias. Exponent scores put the recovered
-    exponent first and its 16/32/48/64-offset tie class next, as the
-    structural aliasing does.
+    ``errors[j] = (d, shifted)`` scores double j's exponent best at the
+    truth + ``d`` and, if ``shifted``, recovers its significand as the
+    ``(true >> 1) | 1 << 52`` alias. Exponent scores put that exponent
+    first and its 16/32/48/64-offset tie class next, as the structural
+    aliasing does; the recovered pattern takes the attack's first guess,
+    which is in-band when the top of the scores holds one.
     """
-    guesses = np.arange(963, 1084, dtype=np.uint64)
-    center = round(fft_f_exponent_scale(sk.params))
+    guesses = np.arange(*EXPONENT_GUESSES, dtype=np.uint64)
     recs = []
     for j, p in enumerate(true_patterns(sk)):
         d, shifted = errors.get(j, (0, False))
@@ -84,12 +83,14 @@ def planted_recoveries(sk, errors):
         exp = ((p >> 52) & 0x7FF) + d
         offset = guesses.astype(np.int64) - exp
         scores = -(offset % 16 != 0).astype(float) - np.abs(offset) / 1000.0
+        exponent = ExponentRecovery(exp, [], scores, guesses)
+        exponent.biased_exponent = exponent.top_candidates(1)[0]
         recs.append(
             CoefficientRecovery(
                 target_index=j,
-                pattern=compose(p >> 63, exp, sig & _MANT),
+                pattern=compose(p >> 63, exponent.biased_exponent, sig & _MANT),
                 sign=SignRecovery(bit=p >> 63, results=[]),
-                exponent=ExponentRecovery(exp, [], scores, guesses, center=center),
+                exponent=exponent,
                 mantissa=MantissaRecovery(sig & ((1 << LOW_BITS) - 1), sig >> LOW_BITS, None, None),
             )
         )
@@ -164,24 +165,31 @@ class TestRepairExponents:
         assert moves == f"coef 5: {wrong:#018x} → {truth:#018x}"
 
     def test_fixes_exponent_aliases_and_shift_alias_at_n64(self):
-        """Two tie-class exponent slips (+16 and +32 octaves, on the two
-        smallest doubles, where the tie break toward the public centre
-        lands above the truth) plus a shifted significand on the largest."""
+        """Tie-class slips (+16 and +32 octaves on the two smallest
+        doubles) leave the band, so the attack's order starts from the
+        truth there. The decoder undoes what the band cannot see: a
+        +2-octave slip on the second largest double, which stays in band,
+        and a shifted significand on the largest."""
         sk, pk = keygen(FalconParams.get(64), seed=b"kr64")
-        by_size = np.argsort(np.abs(np.array(true_patterns(sk), dtype=np.uint64).view(np.float64)))
-        errors = {int(by_size[0]): (16, False), int(by_size[1]): (32, False), int(by_size[-1]): (0, True)}
+        truth = true_patterns(sk)
+        by_size = [int(j) for j in np.argsort(np.abs(np.array(truth, dtype=np.uint64).view(np.float64)))]
+        errors = {by_size[0]: (16, False), by_size[1]: (32, False), by_size[-2]: (2, False), by_size[-1]: (0, True)}
+        recs = planted_recoveries(sk, errors)
+        assert [recs[j].pattern for j in by_size[:2]] == [truth[j] for j in by_size[:2]]
         result, moves = rebuild_planted(sk, pk, errors)
         assert result.f == sk.f and result.g == sk.g
-        assert moves.count("coef ") == 3
+        moved = sorted(int(m.split()[1].rstrip(":")) for m in moves.split("; "))
+        assert moved == sorted(by_size[-2:])
 
     def test_fixes_three_misses_at_n8(self):
-        """The n8-key seed-14 shape: +16/+32 slips on the two smallest
-        doubles and a shifted significand on another. Once the slips are
-        undone every residual looks random, so only the per-move cost
-        keeps the search from wandering off."""
+        """The n8-key seed-14 shape, with slips the magnitude band cannot
+        undo: +2-octave exponent slips on the two largest doubles, which
+        stay in band, and a shifted significand on the second smallest.
+        Once the slips are undone every residual looks random, so only
+        the per-move cost keeps the search from wandering off."""
         sk, pk = keygen(FalconParams.get(8), seed=b"kr8")
         by_size = np.argsort(np.abs(np.array(true_patterns(sk), dtype=np.uint64).view(np.float64)))
-        errors = {int(by_size[0]): (16, False), int(by_size[1]): (32, False), int(by_size[4]): (0, True)}
+        errors = {int(by_size[-1]): (2, False), int(by_size[-2]): (2, False), int(by_size[1]): (0, True)}
         result, moves = rebuild_planted(sk, pk, errors)
         assert result.f == sk.f and result.g == sk.g
         assert moves.count("coef ") == 3
@@ -197,45 +205,39 @@ class TestRepairExponents:
             repair_exponents(cands, pk)
 
 
-class TestMagnitudeFilter:
-    def test_high_aliases_rejected_tiny_kept(self, kp):
-        """The plausibility band is asymmetric: +16-octave exponent
-        aliases are physically impossible and leave the decoder's lists,
-        while genuinely tiny coefficients from cancellation stay."""
-        import math
+class TestMagnitudeOrder:
+    def test_in_band_alias_of_a_truth_below_the_band_takes_one_move(self):
+        """The n8-key seed-205 shape: coefficient 4's truth has biased
+        exponent 1015, below the band, and its +16 alias scores better
+        and is in band, so the attack starts from the alias. The truth
+        stays in the list behind it and the decoder reaches it in one
+        move."""
+        sk, pk = keygen(FalconParams.get(8), seed=b"perfbench/n8-key/205/key")
+        truth = true_patterns(sk)[4]
+        assert (truth >> 52) & 0x7FF == 1015 < MAGNITUDE_BAND.start
+        (rec,) = [r for r in planted_recoveries(sk, {4: (16, False)}) if r.target_index == 4]
+        assert rec.exponent.biased_exponent == 1031
+        assert truth in rec.candidate_patterns()
+        result, moves = rebuild_planted(sk, pk, {4: (16, False)})
+        assert result.f == sk.f and result.g == sk.g
+        assert moves == f"coef 4: {rec.pattern:#018x} → {truth:#018x}"
 
-        sk, _ = kp
-        params = sk.params
-        center = 1023 + math.log2(math.sqrt(params.n / 2.0) * params.sigma_fg)
-        true_exp = int(center)  # a double right at the physical scale
-        mant = 0x123456789ABCD
-
-        def pat(exp):
-            return (exp << 52) | mant
-
-        kept = _filter_by_magnitude(
-            [pat(true_exp), pat(true_exp + 16), pat(true_exp - 16), pat(true_exp - 10)],
-            params,
-        )
-        assert pat(true_exp) in kept
-        assert pat(true_exp + 16) not in kept   # alias above: impossible
-        assert pat(true_exp - 16) not in kept   # far below the band too
-        assert pat(true_exp - 10) in kept       # tiny but possible
-
-    def test_recovered_pattern_kept_below_band(self, kp):
-        """A correct recovery below the band (the n8-key seed-205 double
-        sat 14.02 octaves under the centre) stays first in its list."""
-        sk, _ = kp
-        center = round(fft_f_exponent_scale(sk.params))
-        below = ((center - 15) << 52) | 0x123456789ABCD
-        others = [below + (16 << 52), below + (32 << 52), below - (2 << 52)]
-        kept = _filter_by_magnitude([below, *others], sk.params)
-        assert kept == [below, below + (16 << 52)]
-
-    def test_never_returns_empty(self, kp):
-        sk, _ = kp
-        only_implausible = [(2000 << 52) | 1]
-        assert _filter_by_magnitude(only_implausible, sk.params) == only_implausible
+    def test_out_of_band_slips_at_n512_need_no_moves(self):
+        """A FALCON-512 campaign's shape: about 120 doubles whose exponent
+        scores best at an out-of-band alias (+16, +32 or -32 octaves). The
+        attack's order starts each from its in-band truth, so the decoder
+        accepts the first state."""
+        sk, pk = keygen(FalconParams.get(512), seed=b"kr512")
+        exps = [(p >> 52) & 0x7FF for p in true_patterns(sk)]
+        errors = {}
+        for j, e in enumerate(exps):
+            d = (16, 32, -32)[j % 3]
+            if j % 4 == 0 and e in MAGNITUDE_BAND and e + d not in MAGNITUDE_BAND:
+                errors[j] = (d, False)
+        assert 110 <= len(errors) <= 128
+        result, moves = rebuild_planted(sk, pk, errors)
+        assert moves == "none"
+        assert (result.f, result.g) == (sk.f, sk.g)
 
 
 @pytest.fixture(scope="module")

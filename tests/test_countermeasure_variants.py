@@ -152,26 +152,33 @@ def test_variant_static_verify_is_clean(repo_sast_cache):
     assert main([*args, "--variant", "ct-mul"]) == EXIT_CLEAN
 
 
-def test_unknown_variant_is_an_error(repo_sast_cache, capsys):
+def test_unknown_variant_is_an_error(tmp_path, capsys):
+    """Rejected before any analysis: the cache file is never written."""
     root = os.path.join(_REPO_ROOT, "src", "repro")
+    cache = tmp_path / "cache.json"
     assert (
         main(["verify", root, "--contract", _CONTRACT, "--variant", "nope",
-              "--cache", repo_sast_cache])
+              "--cache", str(cache)])
         == EXIT_ERROR
     )
     assert "contract defines" in capsys.readouterr().err
+    assert not cache.exists()
 
 
-def test_variant_write_contract_rejected(repo_sast_cache, capsys):
+def test_variant_write_contract_rejected(tmp_path, capsys):
+    """Rejected before any analysis: the cache file is never written."""
     root = os.path.join(_REPO_ROOT, "src", "repro")
+    cache = tmp_path / "cache.json"
     assert (
         main([
             "verify", root, "--contract", _CONTRACT,
             "--variant", "masked-mul", "--write-contract",
-            "--cache", repo_sast_cache,
+            "--cache", str(cache),
         ])
         == EXIT_ERROR
     )
+    assert "--write-contract" in capsys.readouterr().err
+    assert not cache.exists()
 
 
 def test_planted_secret_branch_in_variant_is_drift(tmp_path, capsys):
