@@ -48,18 +48,21 @@ def _high_prune_steps(low: int) -> list[Step]:
     ]
 
 
-def _with_shift_aliases(candidates: np.ndarray, width: int) -> np.ndarray:
-    """Union of the candidates and their full shift-alias classes.
+def _with_shift_aliases(candidates: np.ndarray, bits: int, fixed: int) -> np.ndarray:
+    """The candidates' full shift-alias classes, with the ``fixed`` bits set.
 
     The extend phase ranks on multiplication outputs, whose Hamming
     weights are shift invariant — a surviving candidate may therefore be
     the true limb shifted by a few bits (the paper's false positives).
     Expanding each survivor to its alias class guarantees the prune
-    phase (shift-*variant* additions) sees the true value.
+    phase (shift-*variant* additions) sees the true value. The shifts span
+    ``fixed`` too: for a high limb C with k trailing zeros the ladder may
+    return C >> k, whose top bit only a 28-bit shift puts back on the MSB.
     """
     out = set()
+    width = max(bits, fixed.bit_length())
     for c in candidates:
-        out.update(shift_aliases(int(c), width))
+        out.update(a | fixed for a in shift_aliases(int(c), width))
     return np.array(sorted(out), dtype=np.uint64)
 
 
@@ -161,7 +164,7 @@ def _recover_limb(
     """Extend on the products, then prune and refine on the additions."""
     with span("extend", limb=limb):
         ladder = ladder_limb(traceset, ladder_steps, bits, distinguisher=distinguisher)
-    cands = np.unique(_with_shift_aliases(ladder.candidates, bits) | np.uint64(fixed))
+    cands = _with_shift_aliases(ladder.candidates, bits, fixed)
     with span("prune", limb=limb):
         scores, results = prune_candidates(traceset, cands, prune_steps, distinguisher)
         best = int(cands[int(np.argmax(scores))])

@@ -6,7 +6,9 @@ work by exploiting a carry property of multiplication: the low m bits of
 ``secret * known`` depend only on the low m bits of the secret. Guesses
 are therefore extended ``window`` bits at a time, scored by CPA with
 HW((guess * known) mod 2^m) hypotheses against the partial-product
-samples, and only the ``beam`` best survivors are carried forward.
+samples; the ``beam`` best are carried forward, plus the all-zero
+candidate (a limb whose low m bits are zero has a constant hypothesis,
+so its score says nothing yet): at most (beam + 1) * 2^window a stage.
 
 This is itself an extend-and-prune in the template-attack sense; the
 paper's *novel* extend-and-prune (multiplication -> addition re-ranking,
@@ -144,16 +146,11 @@ def _ladder(
         )
         order = np.argsort(-scores, kind="stable")
         n_keep = keep if covered >= total_bits else beam
-        kept = cands[order[:n_keep]]
-        # A secret limb whose low bits are zero produces a constant (all
-        # zero) masked-product hypothesis at the early stages — zero
-        # correlation by construction, not evidence against it. The
-        # zero-extension of every previous survivor is therefore
-        # unfalsified at this stage and must stay alive until the first
-        # nonzero secret bit gives it a real score.
-        kept = np.unique(np.concatenate([kept, survivors]))
-        # Each kept value is a candidate of this stage (a survivor is its
-        # own zero extension), so each has a score; order best-first.
+        # A limb whose low ``covered`` bits are all zero has a constant
+        # masked-product hypothesis, so no score can rule the all-zero
+        # candidate out yet; it alone rides along with the beam (0 extends
+        # itself, so it is always a scored candidate). Order best-first.
+        kept = np.union1d(cands[order[:n_keep]], np.uint64(0))
         kept_scores = scores[np.searchsorted(cands, kept)]
         order = np.argsort(-kept_scores, kind="stable")
         survivors = kept[order]

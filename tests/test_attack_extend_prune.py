@@ -14,14 +14,25 @@ import pytest
 from repro.attack.coefficient import recover_coefficient
 from repro.attack.config import AttackConfig
 from repro.attack.distinguisher import ENGINE_PROFILED_LABELS, CpaDistinguisher
+from repro.attack import extend_prune as extend_prune_mod
+from repro.attack import sign_exp as sign_exp_mod
 from repro.attack.extend_prune import (
     LOW_PRUNE_STEPS,
+    _with_shift_aliases,
     prune_candidates,
     recover_mantissa,
     refine_limb,
 )
 from repro.attack import ladder as ladder_mod
-from repro.attack.ladder import LOW_LIMB_STEPS, ROWS, ladder_limb
+from repro.attack.ladder import (
+    BEAM,
+    HIGH_LIMB_STEPS,
+    KEEP,
+    LOW_LIMB_STEPS,
+    ROWS,
+    WINDOW,
+    ladder_limb,
+)
 from repro.attack.sign_exp import ExponentRecovery, _ranked, recover_exponent, recover_sign
 from repro.falcon import FalconParams, keygen
 from repro.fpr.trace import LOW_BITS
@@ -89,6 +100,17 @@ class TestLadder:
     def test_survivors_within_beam_plus_zero_extensions(self, ts0):
         res = ladder_limb(ts0, LOW_LIMB_STEPS, total_bits=10, window=5, beam=8)
         assert len(res.stages[0].survivors) <= 8 + 1
+
+    @pytest.mark.parametrize("steps,bits", [(LOW_LIMB_STEPS, LOW_BITS), (HIGH_LIMB_STEPS, 27)])
+    def test_only_the_beam_and_zero_are_carried(self, ts0, steps, bits):
+        """Each stage extends at most the beam plus the all-zero candidate,
+        and carries at most that many on; earlier survivors do not pile up."""
+        res = ladder_limb(ts0, steps, total_bits=bits)
+        for i, stage in enumerate(res.stages):
+            n_keep = KEEP if i == len(res.stages) - 1 else BEAM
+            assert len(stage.candidates) <= (BEAM + 1) << WINDOW
+            assert len(stage.survivors) <= n_keep + 1
+            assert 0 in stage.survivors
 
     def test_true_limb_class_survives(self, ts0):
         """The ladder must keep the true limb or one of its shift aliases."""
@@ -191,6 +213,18 @@ class TestPrune:
         corrupted = parts["lo"] ^ 0b11000  # flip two bits in one window
         refined, _ = refine_limb(ts0, corrupted, LOW_BITS, LOW_PRUNE_STEPS)
         assert refined == parts["lo"]
+
+    def test_high_limb_aliases_reach_the_implicit_msb(self):
+        """A high limb C = 0x896fa00 ends in 9 zero bits; the ladder, over
+        the 27 unknown bits, may return C >> 8 = 0x896fa. Only a shift
+        within all 28 bits puts its top bit back on the implicit MSB."""
+        msb = 1 << 27
+        cands = _with_shift_aliases(np.array([0x896FA], dtype=np.uint64), 27, msb)
+        assert 0x896FA00 in cands
+        assert all(msb <= int(c) < 2 * msb for c in cands)
+        assert 0x896FA | msb in cands  # the unshifted survivor, MSB set
+        low = _with_shift_aliases(np.array([0b1100], dtype=np.uint64), LOW_BITS, 0)
+        assert low.tolist() == [0b11 << k for k in range(LOW_BITS - 1)]
 
 
 class TestMantissaRecovery:
@@ -330,6 +364,22 @@ class TestCoefficientRecovery:
             assert per_call(limb.prune_results)
         assert per_call(rec0.exponent.results)
         assert per_call(rec0.sign.results)
+
+    def test_hypothesis_cells_stay_bounded(self, ts0, monkeypatch):
+        """Cost guard: the hypothesis cells (rows x guesses, per step) one
+        coefficient attack scores, 8.07e7 here. The bound sits 24% above;
+        a ladder that carries every earlier survivor on scores 2.03e8."""
+        cells = []
+        for mod in (ladder_mod, extend_prune_mod, sign_exp_mod):
+            def counted(traceset, steps, guesses, *args, _inner=mod.score_steps, **kwargs):
+                rows = sum(seg.n_traces for seg in traceset.segments)
+                cells.append(rows * len(steps) * len(guesses))
+                return _inner(traceset, steps, guesses, *args, **kwargs)
+
+            monkeypatch.setattr(mod, "score_steps", counted)
+        rec = recover_coefficient(ts0)
+        assert rec.pattern == ts0.true_secret
+        assert sum(cells) <= 100_000_000
 
     def test_more_noise_needs_more_traces(self, campaign):
         """With 10x the noise, 300 traces are not enough for the mantissa."""
