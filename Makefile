@@ -2,6 +2,9 @@
 
 PYTHON ?= python3
 
+# Run against the checkout's src/ without an installed package.
+export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 .PHONY: install test lint sast sast-oracle sast-contract sast-variants typecheck demo figures smoke verify clean
 
 install:

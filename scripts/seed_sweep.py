@@ -16,7 +16,8 @@ them, so at ``--n 8`` seed s here is seed s there.
 
     PYTHONPATH=src python scripts/seed_sweep.py --n 8 --traces 2000 6000 --seeds 11-20 205
 
-A FALCON-512 key takes about 5 minutes a seed on 2 cores:
+A FALCON-512 key takes about 75–80 s of capture and attack a seed on
+2 cores:
 
     PYTHONPATH=src python scripts/seed_sweep.py --n 512 --traces 6000 --seeds 1 2 --workers 2
 """

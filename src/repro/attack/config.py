@@ -40,7 +40,7 @@ class AttackConfig:
     The search widths are module constants, not knobs: the ladder's
     ``WINDOW``/``BEAM``/``KEEP`` and its row prefix ``ROWS``
     (:mod:`repro.attack.ladder`), and the exponent scan
-    ``EXPONENT_GUESSES`` and magnitude band ``MAGNITUDE_BAND``
+    ``EXPONENT_GUESSES`` and the weight of its magnitude prior
     (:mod:`repro.attack.sign_exp`). Every trace
     segment is always used; the ladder scores the first ``ROWS`` rows of
     each (more if its best candidate is not significant), every other

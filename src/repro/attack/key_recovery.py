@@ -28,7 +28,6 @@ import numpy as np
 
 from repro.attack.config import AttackConfig
 from repro.attack.coefficient import CoefficientRecovery, recover_coefficient
-from repro.attack.sign_exp import MAGNITUDE_BAND
 from repro.falcon.keygen import PublicKey, SecretKey, derive_secret_key
 from repro.falcon.ntru_solve import NtruSolveError, ntru_solve
 from repro.falcon.sign import Signature, sign
@@ -197,8 +196,10 @@ def repair_exponents(  # sast: declassify(reason=attacker-side key decoder over 
     n = len(candidates)
     mat = _invfft_basis(n)
     vals = [np.array(c, dtype=np.uint64).view(np.float64) for c in candidates]
-    # Keygen rejects ||(f, g)||^2 > 1.17^2 q, so every |f_i| <= 1.17 sqrt(q).
-    box = math.floor(1.17 * math.sqrt(pk.params.q))
+    # Keygen rejects ||(f, g)||^2 > 1.17^2 q, so every |f_i| <= 1.17 sqrt(q)
+    # and, by Parseval, every |double| <= sqrt(n/2) 1.17 sqrt(q).
+    bound = 1.17 * math.sqrt(pk.params.q)
+    box = math.floor(bound)
     # Lazy best-first: entry (cost, state, rank) is the rank-th cheapest
     # neighbour of expanded state ``state`` (-1: the start).
     heap: list[tuple[float, int, int]] = [(0.0, -1, 0)]
@@ -236,7 +237,7 @@ def repair_exponents(  # sast: declassify(reason=attacker-side key decoder over 
         if len(by_cost):
             expanded.append((choice, costs[by_cost], coords[by_cost], picks[by_cost]))
             heapq.heappush(heap, (costs[by_cost[0]], len(expanded) - 1, 0))
-    suspects = _erasure_suspects(mat, np.array([v[0] for v in vals]), box)
+    suspects = _erasure_suspects(mat, np.array([v[0] for v in vals]), box, math.sqrt(n / 2) * bound)
     raise KeyRecoveryError(
         f"no candidate choice passed the public key in {len(seen)} decoder states; "
         f"suspect coefficients, most likely first: {', '.join(map(str, suspects[:3]))}"
@@ -249,11 +250,10 @@ def _invfft_basis(n: int) -> np.ndarray:
     return np.ascontiguousarray(fft.ifft(doubles_to_fft(np.eye(n))).T)
 
 
-def _erasure_suspects(mat: np.ndarray, v: np.ndarray, box: int) -> list[int]:
+def _erasure_suspects(mat: np.ndarray, v: np.ndarray, box: int, span: float) -> list[int]:
     """Doubles ordered by how close to integral f gets when each alone is
-    freed to any value t under the magnitude band's upper edge (t scanned
-    so the column's largest entry lands on an integer)."""
-    span = 2.0 ** (MAGNITUDE_BAND.stop - 1023)
+    freed to any value |t| <= ``span`` (t scanned so the column's largest
+    entry lands on an integer)."""
     cost = []
     for j, col in enumerate(mat.T):
         rest, i = mat @ v - v[j] * col, int(np.argmax(np.abs(col)))

@@ -45,9 +45,9 @@ __all__ = ["AttackSession", "SessionError"]
 _FORMAT = "falcon-down-attack-session"
 #: 2: checkpointed exponent recoveries carry their tie-break centre.
 #: 3: the ladder scores a row prefix; its results carry ``n_rows``.
-#: 4: the exponent order puts in-band guesses first, so the recorded
-#: pattern can differ; exponent recoveries carry no centre.
-_VERSION = 4
+#: 4: exponent recoveries carry no centre. 4 and 5: the exponent order
+#: changed (band, then magnitude posterior), so the pattern can differ.
+_VERSION = 5
 
 
 class SessionError(RuntimeError):
